@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -115,9 +115,9 @@ def _bipartition(graph: FieldedGraph, left: Optional[Sequence[str]] = None
         if root in color:
             continue
         color[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for w in adj[u]:
                 if w not in color:
                     color[w] = 1 - color[u]
@@ -295,40 +295,46 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
 
     Removing pendant u with neighbour v multiplies the scale by mu_u + gamma
     and the neighbour's field by edge_ratio(mu_u).  Peeling runs in rounds of
-    the currently pendant vertices in id order, so results are reproducible.
+    the currently pendant vertices in id order, so results are reproducible:
+    a round's pendants are the neighbours whose degree fell to 1 in the round
+    before, and one whose degree fell to 0 earlier in its own round (the far
+    end of a K2) is skipped.  The surviving edges keep their input order.
+
+    Cost: O(|V| + |E| + sum of k log k over the rounds' k pendants), from
+    per-vertex incidence lists and degrees built once.
     """
     fields = dict(graph.field_map)
-    edges = list(graph.edges)
-    order = [v for v, _ in graph.vertices]
+    edges = graph.edges
+    incident: dict = {v: [] for v in fields}
+    for i, (a, b) in enumerate(edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    deg = {v: len(inc) for v, inc in incident.items()}
+    alive = [True] * len(edges)
     scale = 1
 
-    def degrees() -> Counter:
-        d: Counter = Counter({v: 0 for v in fields})
-        for u, v in edges:
-            d[u] += 1
-            d[v] += 1
-        return d
-
-    while True:
-        deg = degrees()
-        pendants = sorted(v for v in fields if deg[v] == 1)
-        if not pendants:
-            break
+    pendants = sorted(v for v, d in deg.items() if d == 1)
+    while pendants:
+        touched = []
         for u in pendants:
-            incident = [i for i, (x, y) in enumerate(edges) if u in (x, y)]
-            if len(incident) != 1:
+            if deg[u] != 1:
                 continue  # degree changed earlier in this round
-            i = incident[0]
-            x, y = edges[i]
-            v = y if x == u else x
+            i = next(i for i in incident[u] if alive[i])
+            a, b = edges[i]
+            v = b if a == u else a
             scale = scale * (fields[u] + p.gamma)
             fields[v] = fields[v] * edge_ratio(fields[u], p)
             del fields[u]
-            del edges[i]
+            alive[i] = False
+            deg[u] -= 1
+            deg[v] -= 1
+            touched.append(v)
+        pendants = sorted({v for v in touched if deg[v] == 1})
 
-    remaining = tuple((v, fields[v]) for v in order if v in fields)
+    remaining = tuple((v, fields[v]) for v, _ in graph.vertices if v in fields)
+    kept = tuple(e for e, ok in zip(edges, alive) if ok)
     out = graph.output if graph.output in fields else None
-    return FieldedGraph(remaining, tuple(edges), out), scale
+    return FieldedGraph(remaining, kept, out), scale
 
 
 def contract_certificate(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
@@ -409,8 +415,9 @@ def ising_pipeline(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     isolated = [v for v, _ in core.vertices if deg[v] == 0]
     for v in isolated:
         scale = scale * (core.field_map[v] + 1)
-    kept = tuple((v, f) for v, f in core.vertices if v not in isolated)
-    out = core.output if core.output not in isolated else None
+    dropped = set(isolated)
+    kept = tuple((v, f) for v, f in core.vertices if v not in dropped)
+    out = core.output if core.output not in dropped else None
     core = FieldedGraph(kept, core.edges, out)
 
     ising_cert = to_ising(core, p) if core.n else None

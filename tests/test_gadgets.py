@@ -10,8 +10,8 @@ import pytest
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
                      Leaf, RecursionParams, SpinParams, Star, comb,
-                     decay_constants, effective_field, gadget_field,
-                     gadget_from_json, gadget_to_json, materialize,
+                     contract_degree_one, decay_constants, effective_field,
+                     gadget_field, gadget_from_json, gadget_to_json, materialize,
                      solve_mu_star, star_convergence, tree_convergence,
                      tree_size)
 from twospin.instances import random_gadget_tree
@@ -112,6 +112,17 @@ def test_oracle_equivalence_sample():
             fields, edges = graph_tuple(graph)
             assert recursive == pytest.approx(
                 brute_effective_field(fields, edges, 1.0, 2.0, graph.output), rel=1e-10)
+
+
+def test_peeling_large_materialised_trees_gives_gadget_field():
+    # ~3*10^4 vertices: beyond enumeration, and slow unless peeling is linear
+    for tree, size in ((DaryTree(2, 14), 32_767), (DaryTree(3, 9), 29_524)):
+        graph = materialize(tree, P)
+        assert graph.n == size
+        core, _ = contract_degree_one(graph, P)
+        assert core.output == graph.output and core.n == 1 and not core.edges
+        assert core.field_map[core.output] == pytest.approx(gadget_field(tree, P),
+                                                            rel=1e-12)
 
 
 def test_star_convergence_decreasing_and_bounded():

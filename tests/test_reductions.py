@@ -225,6 +225,73 @@ def test_contract_exact_certificate():
     assert cert.scale == Fraction(16)
 
 
+def _round_peel(graph, p):
+    """Reference peel: degrees recounted every round, and each pendant's edge
+    found by scanning the whole edge list (quadratic, but plainly correct)."""
+    fields = dict(graph.vertices)
+    edges = list(graph.edges)
+    scale = 1
+    while True:
+        deg = {v: 0 for v in fields}
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        pendants = sorted(v for v in fields if deg[v] == 1)
+        if not pendants:
+            break
+        for u in pendants:
+            incident = [i for i, e in enumerate(edges) if u in e]
+            if len(incident) != 1:
+                continue
+            a, b = edges.pop(incident[0])
+            v = b if a == u else a
+            x = fields.pop(u)
+            scale = scale * (x + p.gamma)
+            fields[v] = fields[v] * ((p.beta * x + 1) / (x + p.gamma))
+    vertices = tuple((v, fields[v]) for v, _ in graph.vertices if v in fields)
+    output = graph.output if graph.output in fields else None
+    return vertices, tuple(edges), output, scale
+
+
+def _random_peel_case(rng, exact):
+    """Forest plus extra edges (cycles, parallels, loops), K2s and isolated
+    vertices, with ids whose sorted order differs from insertion order."""
+    n = rng.randint(1, 14)
+    ids = [f"v{i}" for i in rng.sample(range(100), n)]
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n) if rng.random() < 0.8]
+    edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3))]
+    for j in range(rng.randint(0, 2)):
+        ids += [f"k{j}a", f"k{j}b"]
+        edges.append((f"k{j}a", f"k{j}b"))
+    ids += [f"i{j}" for j in range(rng.randint(0, 2))]
+    rng.shuffle(ids)
+    rng.shuffle(edges)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    if exact:
+        fields = {v: Fraction(rng.randint(1, 40), rng.randint(1, 8)) for v in ids}
+        p = SpinParams(Fraction(rng.randint(1, 9), 10), Fraction(rng.randint(11, 40), 10),
+                       Fraction(3))
+    else:
+        fields = {v: rng.uniform(0.2, 6.0) for v in ids}
+        p = SpinParams(rng.uniform(0.1, 1.0), rng.uniform(1.1, 4.0), 3.0)
+    return FieldedGraph(fields, edges, rng.choice(ids)), p
+
+
+def test_contract_matches_round_based_reference_peel():
+    rng = random.Random(4091)
+    seen = {"output_peeled": 0, "output_kept": 0, "loop": 0, "parallel": 0}
+    for t in range(400):
+        g, p = _random_peel_case(rng, exact=t % 2 == 1)
+        core, scale = contract_degree_one(g, p)
+        got = (core.vertices, core.edges, core.output, scale)
+        want = _round_peel(g, p)
+        assert got == want and repr(got) == repr(want), g
+        seen["output_peeled" if core.output is None else "output_kept"] += 1
+        seen["loop"] += any(a == b for a, b in g.edges)
+        seen["parallel"] += len({frozenset(e) for e in g.edges}) < len(g.edges)
+    assert min(seen.values()) >= 20, seen
+
+
 # ---------------------------------------------------------------------------
 # Ising transform
 
