@@ -7,13 +7,14 @@ sum over all 2^n configurations of the product of these factors.  Graphs are
 multigraphs: parallel edges multiply, and a self-loop on v contributes beta
 (spin 0) or gamma (spin 1) per loop.
 
-Evaluation is exhaustive, so it is the ground truth that the recursive gadget
-evaluation and every reduction certificate are checked against.  Two paths:
-
-* float inputs run vectorised in log space (chunked, fixed summation order,
-  deterministic), comfortable up to the default 24-vertex limit;
-* Fraction/Quad inputs run a depth-first exact sum with shared partial
-  products, so identities can be verified with no rounding at all.
+Evaluation is exact, so it is the ground truth that the recursive gadget
+evaluation and every reduction certificate are checked against.  One
+variable-elimination engine serves every number type: float inputs run on
+log tables (the float range never limits log Z), Fraction/Quad inputs on
+tables of the input numbers, so identities can be verified with no rounding
+at all.  A graph of induced width w (under the min-degree order) costs
+O(n * 2^(w+1)) time and 2^(w+1) table entries; graphs of more than the
+enumeration limit (default 24) vertices are refused whatever their width.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, NumericError
 from .exact import Quad
 
 ENUM_LIMIT = 24
-_CHUNK = 1 << 16
 
 #: Partial spin assignment: vertex id -> spin in {0, 1}.
 PinAssignment = Mapping[str, int]
@@ -115,17 +115,8 @@ class FieldedGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def degree(self, v: str) -> int:
-        """Degree of v; a self-loop counts twice."""
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
     def degrees(self) -> dict:
+        """Degree of every vertex; a self-loop counts twice."""
         d = {v: 0 for v, _ in self.vertices}
         for a, b in self.edges:
             d[a] += 1
@@ -137,14 +128,14 @@ class FieldedGraph:
         new = tuple((v, fields.get(v, f)) for v, f in self.vertices)
         return FieldedGraph(new, self.edges, self.output)
 
-    def relabeled(self, mapping: Mapping[str, str]) -> "FieldedGraph":
-        verts = tuple((mapping[v], f) for v, f in self.vertices)
-        edges = tuple((mapping[u], mapping[v]) for u, v in self.edges)
-        out = mapping[self.output] if self.output is not None else None
-        return FieldedGraph(verts, edges, out)
 
+def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
+               limit: int, exact: Optional[bool]) -> bool:
+    """Validate the inputs; True when the exact path is to run.
 
-def _validate(graph: FieldedGraph, pins: PinAssignment, limit: int) -> None:
+    ``exact=None`` picks the exact path when any field or edge weight is a
+    Fraction/Quad and the float path otherwise; True/False force a path.
+    """
     if graph.n > limit:
         raise CapacityError(
             f"graph has {graph.n} vertices, enumeration limit is {limit}")
@@ -153,138 +144,129 @@ def _validate(graph: FieldedGraph, pins: PinAssignment, limit: int) -> None:
             raise DomainError(f"pinned vertex {v!r} is not in the graph")
         if s not in (0, 1):
             raise DomainError(f"pin for {v!r} must be 0 or 1, got {s!r}")
+    if exact is None:
+        values = [params.beta, params.gamma] + [f for _, f in graph.vertices]
+        return any(isinstance(x, (Fraction, Quad)) for x in values)
+    return exact
 
 
-def _wants_exact(graph: FieldedGraph, params: SpinParams) -> bool:
-    values = [params.beta, params.gamma] + [f for _, f in graph.vertices]
-    return any(isinstance(x, (Fraction, Quad)) for x in values)
+def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
+               exact: bool):
+    """Z by variable elimination: exactly, or as log Z on the float path.
+
+    Each vertex carries one unary factor (field, self-loops, pin) and each
+    adjacent pair one factor ``[[beta^k, 1], [1, gamma^k]]`` for its k
+    parallel edges.  Vertices go by least current degree, ties by position;
+    eliminating v multiplies the factors on v, restricted to v = 0 and to
+    v = 1, into one table each over v's neighbours and adds the two, so no
+    new table spans v itself.  Exact tables are object arrays of the input
+    numbers.  Float tables hold logs, so the product is a sum and the sum a
+    log-sum-exp, and no entry leaves the float range.
+    """
+    if exact:
+        unit, zero, mul, add = Fraction(1), Fraction(0), np.multiply, np.add
+    else:
+        unit, zero, mul, add = 0.0, -math.inf, np.add, np.logaddexp
+
+    def weight(x, k):
+        """x**k, or its log on the float path."""
+        if exact:
+            return x ** k
+        return k * math.log(x) if x > 0 else (zero if k else unit)
+
+    def product(parts, s, shape):
+        """Product of a bucket's tables at spin s of the eliminated vertex."""
+        out = np.broadcast_to(parts[0][s, ...], shape).copy()
+        for t in parts[1:]:
+            mul(out, t[s, ...], out=out)
+        return out
+
+    pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    beta, gamma = params.beta, params.gamma
+    loops = [0] * len(pos)
+    mult = Counter()
+    for u, v in graph.edges:
+        i, j = sorted((pos[u], pos[v]))
+        if i == j:
+            loops[i] += 1
+        else:
+            mult[i, j] += 1
+    dtype = object if exact else float
+    factors = []
+    for i, (v, f) in enumerate(graph.vertices):
+        row = [mul(weight(f, 1), weight(beta, loops[i])), weight(gamma, loops[i])]
+        if v in pins:
+            row[1 - pins[v]] = zero
+        factors.append(((i,), np.array(row, dtype=dtype)))
+    for (i, j), k in mult.items():
+        table = [[weight(beta, k), unit], [unit, weight(gamma, k)]]
+        factors.append(((i, j), np.array(table, dtype=dtype)))
+
+    adj = [set() for _ in pos]
+    for i, j in mult:
+        adj[i].add(j)
+        adj[j].add(i)
+    z = unit
+    remaining = set(range(len(pos)))
+    while remaining:
+        v = min(remaining, key=lambda i: (len(adj[i]), i))
+        remaining.remove(v)
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        rest = sorted(adj[v])
+        shape = (2,) * len(rest)
+        parts = [np.moveaxis(t, scope.index(v), 0).reshape(
+            [2] + [2 if x in scope else 1 for x in rest]) for scope, t in bucket]
+        msg = product(parts, 0, shape)
+        add(msg, product(parts, 1, shape), out=msg)
+        if rest:
+            factors.append((tuple(rest), msg))
+        else:
+            z = mul(z, msg[()])
+        for a in adj[v]:
+            adj[a] |= adj[v]
+            adj[a] -= {a, v}
+    return z
 
 
 def _log_partition_float(graph: FieldedGraph, params: SpinParams,
                          pins: PinAssignment) -> float:
-    """log Z on the vectorised float path; -inf when Z == 0."""
-    n = graph.n
-    beta, gamma = float(params.beta), float(params.gamma)
-    pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    logf = np.array([math.log(float(f)) for _, f in graph.vertices], dtype=float)
-    fixed = {pos[v]: s for v, s in pins.items()}
-    free = [i for i in range(n) if i not in fixed]
-    edge_counts = Counter((pos[u], pos[v]) for u, v in graph.edges)
-
-    log_beta = math.log(beta) if beta > 0 else None
-    log_gamma = math.log(gamma) if gamma > 0 else None
-
-    chunk_lses = []
-    total_configs = 1 << len(free)
-    for start in range(0, total_configs, _CHUNK):
-        count = min(_CHUNK, total_configs - start)
-        idx = np.arange(start, start + count, dtype=np.int64)
-        spins = np.zeros((count, max(n, 1)), dtype=np.uint8)
-        for j, vi in enumerate(free):
-            spins[:, vi] = (idx >> j) & 1
-        for vi, s in fixed.items():
-            spins[:, vi] = s
-        zero = spins == 0
-        logw = zero[:, :n].astype(float) @ logf if n else np.zeros(count)
-        cnt00 = np.zeros(count)
-        cnt11 = np.zeros(count)
-        for (ui, vi), mult in edge_counts.items():
-            cnt00 += mult * (zero[:, ui] & zero[:, vi])
-            cnt11 += mult * (~zero[:, ui] & ~zero[:, vi])
-        if log_beta is None:
-            logw = np.where(cnt00 > 0, -np.inf, logw)
-        else:
-            logw = logw + cnt00 * log_beta
-        if log_gamma is None:
-            logw = np.where(cnt11 > 0, -np.inf, logw)
-        else:
-            logw = logw + cnt11 * log_gamma
-        top = logw.max()
-        if top == -np.inf:
-            chunk_lses.append(-np.inf)
-        else:
-            chunk_lses.append(top + math.log(np.exp(logw - top).sum()))
-    return float(np.logaddexp.reduce(np.array(chunk_lses)))
+    """log Z on the float path; -inf when Z == 0."""
+    return float(_eliminate(graph, params, pins, exact=False))
 
 
 def _partition_exact(graph: FieldedGraph, params: SpinParams,
                      pins: PinAssignment):
-    """Exact configuration sum with shared partial products (DFS over vertices)."""
-    n = graph.n
-    if n == 0:
-        return Fraction(1)
-    # high-degree vertices first so edge factors resolve near the DFS root,
-    # where partial products are shared by many configurations
-    deg = graph.degrees()
-    ordered = sorted(graph.vertices, key=lambda vf: -deg[vf[0]])
-    ids = [v for v, _ in ordered]
-    pos = {v: i for i, v in enumerate(ids)}
-    fields = [f for _, f in ordered]
-    beta, gamma = params.beta, params.gamma
+    """Z in the input number type, with no rounding."""
+    return _eliminate(graph, params, pins, exact=True)
 
-    # each edge is charged at its later endpoint so its factor is known there
-    edges_at: list[Counter] = [Counter() for _ in range(n)]
-    for u, v in graph.edges:
-        i, j = pos[u], pos[v]
-        edges_at[max(i, j)][min(i, j)] += 1
-    max_mult = max((m for c in edges_at for m in c.values()), default=0)
-    beta_pow = [beta ** k for k in range(max_mult + 1)]
-    gamma_pow = [gamma ** k for k in range(max_mult + 1)]
-    skip_beta = beta == 1
-    skip_gamma = gamma == 1
 
-    pinned = {pos[v]: s for v, s in pins.items()}
-    spins = [0] * n
-    total = [Fraction(0)]
-
-    def descend(i, acc):
-        if i == n:
-            total[0] = total[0] + acc
-            return
-        choices = (pinned[i],) if i in pinned else (0, 1)
-        for s in choices:
-            spins[i] = s
-            w = acc * fields[i] if s == 0 else acc
-            for j, mult in edges_at[i].items():
-                t = spins[j]
-                if s == 0 and t == 0:
-                    if not skip_beta:
-                        w = w * beta_pow[mult]
-                elif s == 1 and t == 1:
-                    if not skip_gamma:
-                        w = w * gamma_pow[mult]
-            if w != 0:
-                descend(i + 1, w)
-
-    descend(0, Fraction(1))
-    return total[0]
+def _exp(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise NumericError(
+            f"{what} = exp({log_value!r}) overflows a float") from None
 
 
 def partition_function(graph: FieldedGraph, params: SpinParams, *,
                        limit: int = ENUM_LIMIT, exact: Optional[bool] = None):
-    """Partition function Z by exhaustive enumeration.
+    """Partition function Z by variable elimination.
 
     ``exact=None`` picks the exact path when any field or edge weight is a
     Fraction/Quad and the float path otherwise; pass True/False to force.
+    A float Z beyond the float range raises NumericError.
     """
-    _validate(graph, {}, limit)
-    if exact is None:
-        exact = _wants_exact(graph, params)
-    if exact:
-        return _partition_exact(graph, params, {})
-    return math.exp(_log_partition_float(graph, params, {}))
+    return pinned_partition(graph, params, {}, limit=limit, exact=exact)
 
 
 def pinned_partition(graph: FieldedGraph, params: SpinParams,
                      pins: PinAssignment, *, limit: int = ENUM_LIMIT,
                      exact: Optional[bool] = None):
     """Partition function restricted to configurations agreeing with pins."""
-    _validate(graph, pins, limit)
-    if exact is None:
-        exact = _wants_exact(graph, params)
-    if exact:
+    if _pick_path(graph, params, pins, limit, exact):
         return _partition_exact(graph, params, pins)
-    return math.exp(_log_partition_float(graph, params, pins))
+    return _exp(_log_partition_float(graph, params, pins), "Z")
 
 
 def effective_field(graph: FieldedGraph, params: SpinParams, *,
@@ -292,20 +274,16 @@ def effective_field(graph: FieldedGraph, params: SpinParams, *,
     """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex."""
     if graph.output is None:
         raise DomainError("graph has no output vertex")
-    _validate(graph, {}, limit)
-    if exact is None:
-        exact = _wants_exact(graph, params)
-    if exact:
-        z0 = _partition_exact(graph, params, {graph.output: 0})
-        z1 = _partition_exact(graph, params, {graph.output: 1})
-        if z1 == 0:
-            raise DomainError("conditioned partition function Z(output=1) is zero")
-        return z0 / z1
-    l0 = _log_partition_float(graph, params, {graph.output: 0})
-    l1 = _log_partition_float(graph, params, {graph.output: 1})
-    if l1 == -math.inf:
-        raise DomainError("conditioned partition function Z(output=1) is zero")
-    return math.exp(l0 - l1)
+    pins = {graph.output: 0}, {graph.output: 1}
+    if _pick_path(graph, params, pins[0], limit, exact):
+        z0, z1 = (_partition_exact(graph, params, p) for p in pins)
+        if z1 != 0:
+            return z0 / z1
+    else:
+        l0, l1 = (_log_partition_float(graph, params, p) for p in pins)
+        if l1 != -math.inf:
+            return _exp(l0 - l1, "Z(output=0)/Z(output=1)")
+    raise DomainError("conditioned partition function Z(output=1) is zero")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from twospin import SpinParams, effective_field, gadget_from_json, gadget_field, graph_from_json
+import twospin
+from twospin import SpinParams, core, effective_field, gadget_from_json, gadget_field, graph_from_json
 from twospin.cli import main
 
 K2_DOC = {"beta": 1, "gamma": 2,
@@ -80,6 +83,22 @@ def test_eval_domain_exit_code(tmp_path, capsys):
     doc = dict(K2_DOC, vertices=[{"id": "u", "field": -1}, {"id": "v", "field": 2}])
     path = write_doc(tmp_path, doc)
     assert run(capsys, ["eval", "--input", path])[0] == 2
+
+
+def test_eval_float_overflow_is_a_numeric_error(tmp_path, capsys):
+    # log Z = 20*ln(1e40 + 1) = 1842.07 > 709.78, beyond a float Z
+    doc = {"beta": 1, "gamma": 1,
+           "vertices": [{"id": f"v{i}", "field": 1e40} for i in range(20)],
+           "edges": [], "output": None}
+    path = write_doc(tmp_path, doc)
+    code = main(["eval", "--input", path])
+    captured = capsys.readouterr()
+    graph, params = graph_from_json(doc)
+    log_z = core._log_partition_float(graph, params, {})
+    assert log_z == pytest.approx(20 * math.log(1e40 + 1), rel=1e-12)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"numeric error: Z = exp({log_z!r}) overflows a float\n"
 
 
 def test_fixpoint(capsys):
@@ -286,6 +305,10 @@ def test_byte_identical_reruns(tmp_path):
     argv = [sys.executable, "-m", "twospin", "construct", "--beta", "1",
             "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "3",
             "--target", "7.5"]
-    first = subprocess.run(argv, capture_output=True, check=True).stdout
-    second = subprocess.run(argv, capture_output=True, check=True).stdout
+    # the child imports the same package as this process
+    src = os.path.dirname(os.path.dirname(twospin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    first = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
+    second = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     assert first == second and first

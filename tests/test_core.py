@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_z, graph_tuple
-from twospin import (CapacityError, DomainError, FieldedGraph, SpinParams,
-                     effective_field, graph_from_json, graph_to_json,
+from twospin import (CapacityError, DomainError, FieldedGraph, Quad, SpinParams,
+                     core, effective_field, graph_from_json, graph_to_json,
                      partition_function, pinned_partition)
 
 P12 = SpinParams(1.0, 2.0, 2.0)
@@ -31,17 +31,62 @@ def test_partition_path():
 
 
 def test_partition_matches_brute_force_on_random_graphs():
+    # multigraphs of up to 10 vertices with self-loops and parallel edges,
+    # either drawn over a random prefix of the vertices (one large component
+    # with cycles, untouched vertices isolated) or split into two components
+    # plus an isolated vertex; pins; beta or gamma zero, so Z may be 0;
+    # float, Fraction and Quad weights
     rng = random.Random(1234)
-    for _ in range(30):
-        n = rng.randint(1, 7)
+    numbers = {  # a number in [lo/10, hi/10], plus up to sqrt(2) for Quad
+        "float": lambda lo, hi: rng.uniform(lo, hi) / 10,
+        "fraction": lambda lo, hi: Fraction(rng.randint(lo, hi), 10),
+        "quad": lambda lo, hi: Quad(Fraction(rng.randint(lo, hi), 10),
+                                    Fraction(rng.randint(0, 10), 10), 2),
+    }
+    for case in range(120):
+        kind = ("float", "fraction", "quad")[case % 3]
+        num = numbers[kind]
+        n = rng.randint(1, 10)
         ids = [f"v{i}" for i in range(n)]
-        fields = {v: rng.uniform(0.2, 4.0) for v in ids}
-        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 10))]
-        beta, gamma = rng.uniform(0.0, 2.5), rng.uniform(0.1, 3.0)
+        fields = {v: num(2, 40) for v in ids}
+        if case % 2:
+            parts = [ids[:n // 2], ids[n // 2:-1]]
+        else:
+            parts = [ids[:rng.randint((n + 1) // 2, n)]]
+        edges = [(rng.choice(part), rng.choice(part))
+                 for part in parts if part
+                 for _ in range(rng.randint(len(part) // 2, 3 * len(part)))]
+        edges += edges[:rng.randint(0, 3)]
+        beta = num(1, 25) if case % 5 else 0 * num(1, 1)
+        gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
+        pins = {v: rng.randint(0, 1) for v in rng.sample(ids, rng.randint(0, min(2, n)))}
         g = FieldedGraph(fields, edges)
-        p = SpinParams(beta, gamma, 1.0)
-        assert partition_function(g, p) == pytest.approx(
-            brute_z(fields, edges, beta, gamma), rel=1e-11)
+        p = SpinParams(beta, gamma, 1)
+        z = pinned_partition(g, p, pins) if pins else partition_function(g, p)
+        want = brute_z(fields, edges, beta, gamma, pins)
+        if kind == "float":
+            assert z == pytest.approx(want, rel=1e-12)
+        else:
+            assert z == want
+            assert kind == "quad" or isinstance(z, Fraction)
+
+
+def test_float_path_keeps_log_range():
+    # each Z lies outside the float range; log Z does not
+    def log_z(vertices, edges, beta, gamma):
+        return core._log_partition_float(FieldedGraph(vertices, edges),
+                                         SpinParams(beta, gamma, 1.0), {})
+
+    triple = log_z({"u": 1.0, "v": 1.0}, [("u", "v")] * 3, 1e200, 1.0)
+    assert triple == pytest.approx(600 * math.log(10), rel=1e-12)
+    # the three configurations with one spin 0 dominate at 1e-500 each, so
+    # even a linear table divided by its max needs entries below any float
+    tiny = {v: 1e-300 for v in "abc"}
+    triangle = log_z(tiny, [("a", "b"), ("b", "c"), ("a", "c")], 1e-200, 1e-200)
+    assert triangle == pytest.approx(math.log(3) - 500 * math.log(10), rel=1e-12)
+    isolated = log_z({f"v{i}": 1e40 for i in range(20)}, [], 1.0, 1.0)
+    assert isolated == pytest.approx(20 * math.log(1e40 + 1), rel=1e-12)
+    assert log_z({"v": 1.0}, [("v", "v")], 0.0, 0.0) == -math.inf
 
 
 def test_independent_set_count():
@@ -102,7 +147,9 @@ def test_relabeling_and_edge_order_invariance():
     p = SpinParams(0.8, 2.0, 1.0)
     z = partition_function(g, p)
     mapping = {f"v{i}": f"w{(i * 5 + 2) % 6}" for i in range(6)}
-    assert partition_function(g.relabeled(mapping), p) == pytest.approx(z, rel=1e-12)
+    relabeled = FieldedGraph({mapping[v]: f for v, f in fields.items()},
+                             [(mapping[u], mapping[v]) for u, v in edges])
+    assert partition_function(relabeled, p) == pytest.approx(z, rel=1e-12)
     shuffled = list(edges)
     rng.shuffle(shuffled)
     assert partition_function(FieldedGraph(fields, shuffled), p) == pytest.approx(z, rel=1e-12)
@@ -200,7 +247,5 @@ def test_brute_oracle_agrees_with_exact_mode():
 
 def test_graph_helpers():
     g = FieldedGraph({"a": 1.0, "b": 2.0}, [("a", "b"), ("b", "b")])
-    assert g.degree("a") == 1
-    assert g.degree("b") == 3  # loop counts twice
-    assert g.degrees() == {"a": 1, "b": 3}
+    assert g.degrees() == {"a": 1, "b": 3}  # loop counts twice
     assert math.isclose(g.with_fields({"a": 9.0}).field_map["a"], 9.0)

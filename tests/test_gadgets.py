@@ -78,7 +78,7 @@ def test_leaf_supports_comb_unit_tests():
 def test_materialize_shapes():
     g = materialize(Star(3), P)
     assert g.n == 4 and len(g.edges) == 3 and g.output is not None
-    assert g.degree(g.output) == 3
+    assert g.degrees()[g.output] == 3
     assert materialize(DaryTree(2, 2), P).n == 7
     fig = materialize(comb([Star(5), Star(5)]), P)
     assert fig.n == 13  # root + 2 centres + 10 leaves
