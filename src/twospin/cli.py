@@ -24,21 +24,28 @@ from .gadgets import gadget_to_json, materialize, star_convergence, tree_converg
 from .instances import random_bipartite_graph, random_graph
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
                         solve_mu_star, uniqueness_threshold)
-from .serialize import (SCHEMA_VERSION, dump_csv, dump_json, exact_str,
-                        format_float)
+from .serialize import SCHEMA_VERSION, dump_csv, dump_json, exact_str
 
 
 def _scalar(text: str, mode: str):
     """Parse a numeric flag; rational mode keeps it exact."""
-    return Fraction(text) if mode == "rational" else float(text)
+    try:
+        return Fraction(text) if mode == "rational" else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a number: {text!r}") from exc
 
 
 def _load_graph(path: str, mode: str):
-    with open(path) as fh:
-        if mode == "rational":
-            doc = json.load(fh, parse_float=Fraction)
-        else:
-            doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            if mode == "rational":
+                doc = json.load(fh, parse_float=Fraction)
+            else:
+                doc = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     return graph_from_json(doc)
 
 
@@ -50,16 +57,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _instance_doc(inst: red.Instance) -> dict:
+    """The instance's graph JSON with every number as a float."""
     doc = graph_to_json(inst.graph, inst.params)
-    doc = {
-        "beta": format_float(float(doc["beta"])),
-        "gamma": format_float(float(doc["gamma"])),
-        "vertices": [{"id": v["id"], "field": format_float(float(v["field"]))}
-                     for v in doc["vertices"]],
-        "edges": doc["edges"],
-        "output": doc["output"],
-    }
-    doc["mu"] = format_float(float(inst.params.mu))
+    doc["beta"] = float(doc["beta"])
+    doc["gamma"] = float(doc["gamma"])
+    for vertex in doc["vertices"]:
+        vertex["field"] = float(vertex["field"])
+    doc["mu"] = float(inst.params.mu)
     return doc
 
 
@@ -68,7 +72,7 @@ def _certificate_doc(cert: red.ReductionCertificate) -> dict:
         "schema": SCHEMA_VERSION,
         "kind": cert.kind,
         "relation": cert.relation,
-        "scale": format_float(float(cert.scale)),
+        "scale": float(cert.scale),
         "scale_exact": exact_str(cert.scale),
         "verified": cert.verified,
         "input": _instance_doc(cert.input),
@@ -93,13 +97,13 @@ def cmd_eval(args) -> int:
         "mode": args.mode,
         "n_vertices": graph.n,
         "n_edges": len(graph.edges),
-        "Z": format_float(float(z)),
+        "Z": float(z),
         "Z_exact": exact_str(z),
     }
     if graph.output is not None:
         field = effective_field(graph, params, limit=args.enum_limit,
                                 exact=(args.mode == "rational"))
-        doc["effective_field"] = format_float(float(field))
+        doc["effective_field"] = float(field)
         doc["effective_field_exact"] = exact_str(field)
     _emit(dump_json(doc), args.output)
     return 0
@@ -140,11 +144,11 @@ def cmd_construct(args) -> int:
         trace.append({
             "ell": rec.ell,
             "k": rec.k,
-            "mu_values": [format_float(v) for v in rec.mu_values],
-            "branches": [{"i": b.i, "y": format_float(b.y),
-                          "gadget": gadget_to_json(b.gadget)} for b in rec.branches],
-            "delta": None if rec.delta is None else format_float(rec.delta),
-            "mu_hat_prime": None if rec.mu_hat_prime is None else format_float(rec.mu_hat_prime),
+            "mu_values": rec.mu_values,
+            "branches": [{"i": b.i, "y": b.y, "gadget": gadget_to_json(b.gadget)}
+                         for b in rec.branches],
+            "delta": rec.delta,
+            "mu_hat_prime": rec.mu_hat_prime,
             "terminal": rec.terminal,
             "terminal_w": rec.terminal_w,
         })
@@ -209,19 +213,22 @@ def _reduce_one(args, graph, params):
 def cmd_reduce(args) -> int:
     mode = args.mode
     if args.kind == "selfloop":
+        if None in (args.beta, args.gamma, args.mu, args.target, args.m):
+            raise DomainError("--kind selfloop needs --beta --gamma --mu --target --m")
         params = SpinParams(_scalar(args.beta, mode), _scalar(args.gamma, mode),
                             _scalar(args.mu, mode))
-        result = red.realize_field_selfloops(float(args.target), args.m, params)
+        target = _scalar(args.target, "float")
+        result = red.realize_field_selfloops(target, args.m, params)
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "reduce",
             "kind": "selfloop",
-            "target": float(args.target),
+            "target": target,
             "m": args.m,
             "x": result.x,
             "y": result.y,
             "achieved": result.achieved,
-            "log_error": math.log(result.achieved / float(args.target)),
+            "log_error": math.log(result.achieved / target),
             "tolerance": 1.0 / args.m,
             "gadget": _instance_doc(red.Instance(result.gadget, params)),
         }
@@ -291,6 +298,8 @@ def _cmd_reduce_random(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.kind != "uniqueness" and None in (args.beta, args.gamma, args.mu):
+        raise DomainError(f"--kind {args.kind} needs --beta --gamma --mu")
     if args.kind == "star":
         params = SpinParams(args.beta, args.gamma, args.mu)
         rows = [(w, field, bound)

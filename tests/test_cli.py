@@ -301,14 +301,136 @@ def test_output_flag_writes_identical_file(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+GOLDEN_EVAL_RATIONAL = """\
+{
+  "Z": 10.0,
+  "Z_exact": "10",
+  "command": "eval",
+  "effective_field": 1.5,
+  "effective_field_exact": "3/2",
+  "mode": "rational",
+  "n_edges": 1,
+  "n_vertices": 2,
+  "schema": 1
+}
+"""
+
+GOLDEN_REDUCE_CONTRACT = """\
+{
+  "input": {
+    "beta": 1.0,
+    "edges": [
+      [
+        "u",
+        "v"
+      ],
+      [
+        "v",
+        "w"
+      ],
+      [
+        "w",
+        "x"
+      ]
+    ],
+    "gamma": 2.0,
+    "mu": 2.0,
+    "output": null,
+    "vertices": [
+      {
+        "field": 2.0,
+        "id": "u"
+      },
+      {
+        "field": 2.0,
+        "id": "v"
+      },
+      {
+        "field": 2.0,
+        "id": "w"
+      },
+      {
+        "field": 2.0,
+        "id": "x"
+      }
+    ]
+  },
+  "kind": "contract",
+  "output": {
+    "beta": 1.0,
+    "edges": [],
+    "gamma": 2.0,
+    "mu": 2.0,
+    "output": null,
+    "vertices": [
+      {
+        "field": 1.07142857143,
+        "id": "w"
+      }
+    ]
+  },
+  "relation": "input = scale * output",
+  "scale": 56.0,
+  "scale_exact": null,
+  "schema": 1,
+  "verified": true
+}
+"""
+
+
+def test_golden_bytes(tmp_path, capsys):
+    """Literal stdout: indentation, key order, separators, rounding, newline."""
+    k2 = write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json")
+    assert run(capsys, ["eval", "--input", k2, "--mode", "rational"]) == (
+        0, GOLDEN_EVAL_RATIONAL)
+    path4 = write_doc(tmp_path, {
+        "beta": 1, "gamma": 2,
+        "vertices": [{"id": v, "field": 2} for v in "uvwx"],
+        "edges": [["u", "v"], ["v", "w"], ["w", "x"]], "output": None}, name="p4.json")
+    assert run(capsys, ["reduce", "--kind", "contract", "--input", path4,
+                        "--mu", "2"]) == (0, GOLDEN_REDUCE_CONTRACT)
+
+
+def _subprocess_env():
+    """Environment whose python imports the same package as this process."""
+    src = os.path.dirname(os.path.dirname(twospin.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "3", "--m", "100"],
+    ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "3",
+     "--target", "5"],
+    ["reduce", "--kind", "selfloop", "--gamma", "3", "--mu", "3", "--target", "5",
+     "--m", "100"],
+    ["eval", "--input", "{k2}", "--beta", "abc"],
+    ["reduce", "--kind", "pipeline", "--input", "{k2}", "--mu", "abc"],
+    ["eval", "--input", "{missing}"],
+    ["reduce", "--kind", "contract", "--input", "{malformed}"],
+    ["sweep", "--kind", "tree", "--beta", "1", "--gamma", "2"],
+], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
+        "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu"])
+def test_input_errors_exit_2_without_traceback(tmp_path, argv):
+    files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
+             "missing": str(tmp_path / "absent.json"),
+             "malformed": str(tmp_path / "bad.json")}
+    (tmp_path / "bad.json").write_text('{"beta": 1, "gamma": ')
+    argv = [arg.format(**files) for arg in argv]
+    proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("domain error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     argv = [sys.executable, "-m", "twospin", "construct", "--beta", "1",
             "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "3",
             "--target", "7.5"]
-    # the child imports the same package as this process
-    src = os.path.dirname(os.path.dirname(twospin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     first = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     second = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     assert first == second and first

@@ -1,0 +1,96 @@
+"""The one-pass JSON writer against the stdlib encoder on the rounded document."""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twospin import Quad
+from twospin.serialize import dump_json, format_float
+
+
+def oracle_jsonable(obj):
+    """Rounded copy of a document: floats at 12 significant digits, string
+    keys, exact numbers as {"float", "exact"} pairs, tuples as lists."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, (Fraction, Quad)):
+        return {"float": format_float(float(obj)), "exact": str(obj)}
+    if isinstance(obj, dict):
+        return {str(k): oracle_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_jsonable(v) for v in obj]
+    return obj
+
+
+def oracle_dump(doc) -> str:
+    return json.dumps(oracle_jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+# bounded so that float() of every exact value stays finite
+fractions = st.fractions(min_value=-10 ** 12, max_value=10 ** 12)
+quads = st.builds(Quad, fractions, fractions, st.sampled_from([2, 3, 5, 6]))
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+           | fractions | quads)
+keys = st.text() | st.integers() | st.booleans()
+documents = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=5)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_dump_json_matches_stdlib_on_rounded_document(doc):
+    assert dump_json(doc) == oracle_dump(doc)
+
+
+EDGE_CASES = {
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "negative zero": -0.0,
+    "subnormal": 5e-324,
+    "rounds up": [0.9999999999995, 9.9999999999999e22, 1.23456789012345e-7, 2 / 3],
+    "big ints": [10 ** 40, -(2 ** 70)],
+    "bool next to int": [True, 1, False, 0, {"b": True, "i": 1}],
+    "none and empties": {"none": None, "dict": {}, "list": [], "tuple": ()},
+    "nested": {"a": [[1, (2.5, [])], {"b": {"c": ()}}], "d": ({"e": None},)},
+    "non-ascii and control": {"été\n": "∑ \x00\t\"\\  \U0001f600",
+                              "\x1f": ["ÿ", "\r"]},
+    "int keys": {10: "ten", 9: "nine", 100: "hundred", -1: "minus one", "9a": 0},
+    "numpy float64": [np.float64(0.1) * 3, np.float64("inf"), np.float64("nan")],
+    "fraction and quad": {"f": Fraction(1, 3), "q": Quad(1, 2, 5), "r": Quad(Fraction(-7, 2))},
+}
+
+
+@pytest.mark.parametrize("doc", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
+def test_dump_json_edge_cases(doc):
+    assert dump_json(doc) == oracle_dump(doc)
+
+
+def test_int_keys_sort_as_strings():
+    assert dump_json({10: 1, 9: 2}) == '{\n  "10": 1,\n  "9": 2\n}\n'
+
+
+def test_exact_scalar_form():
+    assert dump_json([Fraction(1, 3)]) == (
+        '[\n  {\n    "exact": "1/3",\n    "float": 0.333333333333\n  }\n]\n')
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(3), {1, 2}, b"bytes"],
+                         ids=["object", "numpy int64", "set", "bytes"])
+def test_unsupported_type_raises_type_error(value):
+    with pytest.raises(TypeError):
+        dump_json({"x": [value]})
+    with pytest.raises(TypeError):
+        oracle_dump({"x": [value]})
