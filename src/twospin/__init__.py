@@ -8,7 +8,7 @@ from .core import (ENUM_LIMIT, FieldedGraph, PinAssignment, SpinParams,
                    partition_function, pinned_partition)
 from .errors import CapacityError, DomainError, InvariantViolation, NumericError
 from .exact import Quad, half_power, sqrt_fraction
-from .gadgets import (Comb, DaryTree, GadgetTree, Leaf, Star, comb,
+from .gadgets import (Comb, DaryTree, GadgetTree, Star, comb,
                       gadget_field, gadget_from_json, gadget_to_json,
                       materialize, star_convergence, tree_convergence, tree_size)
 from .recursion import (DecayConstants, HardnessThresholds, RecursionParams,

@@ -4,6 +4,9 @@ Subcommands expose every library operation with reproducible outputs: JSON
 documents (sorted keys, floats at 12 significant digits) on stdout and/or
 --output, CSV for sweeps.  Exit codes: 0 success, 2 domain error, 3 capacity
 error, 4 verification failure.
+
+Each subcommand is one row of ``COMMANDS``; its JSON document is built from
+the library's result objects, and ``_emit`` adds the schema and command keys.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import reductions as red
@@ -35,13 +39,17 @@ def _scalar(text: str, mode: str):
         raise DomainError(f"not a number: {text!r}") from exc
 
 
+def _params(args, base: SpinParams | None) -> SpinParams:
+    """--beta/--gamma/--mu parsed in --mode; a flag not given keeps base's value."""
+    return SpinParams(*(getattr(base, name) if getattr(args, name, None) is None
+                        else _scalar(getattr(args, name), args.mode)
+                        for name in ("beta", "gamma", "mu")))
+
+
 def _load_graph(path: str, mode: str):
     try:
         with open(path) as fh:
-            if mode == "rational":
-                doc = json.load(fh, parse_float=Fraction)
-            else:
-                doc = json.load(fh)
+            doc = json.load(fh, parse_float=Fraction if mode == "rational" else float)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -49,306 +57,279 @@ def _load_graph(path: str, mode: str):
     return graph_from_json(doc)
 
 
-def _emit(text: str, output: str | None) -> None:
-    sys.stdout.write(text)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _emit(args, doc, command: bool = True) -> None:
+    """Write doc to stdout and --output; a dict gets the schema (and command) keys."""
+    if isinstance(doc, dict):
+        header = {"schema": SCHEMA_VERSION}
+        if command:
+            header["command"] = args.command
+        doc = dump_json({**header, **doc})
+    sys.stdout.write(doc)
+    if args.output:
+        _write(args.output, doc)
+
+
+def _verdict(ok: bool, failure: str) -> int:
+    """Exit code 0, or 4 after reporting the failed check on stderr."""
+    if ok:
+        return 0
+    print(f"error: {failure}", file=sys.stderr)
+    return 4
 
 
 def _instance_doc(inst: red.Instance) -> dict:
     """The instance's graph JSON with every number as a float."""
     doc = graph_to_json(inst.graph, inst.params)
-    doc["beta"] = float(doc["beta"])
-    doc["gamma"] = float(doc["gamma"])
     for vertex in doc["vertices"]:
         vertex["field"] = float(vertex["field"])
-    doc["mu"] = float(inst.params.mu)
-    return doc
+    return {**doc, "beta": float(doc["beta"]), "gamma": float(doc["gamma"]),
+            "mu": float(inst.params.mu)}
 
 
 def _certificate_doc(cert: red.ReductionCertificate) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": cert.kind,
-        "relation": cert.relation,
-        "scale": float(cert.scale),
-        "scale_exact": exact_str(cert.scale),
-        "verified": cert.verified,
-        "input": _instance_doc(cert.input),
-        "output": _instance_doc(cert.output),
-    }
+    return {**vars(cert), "scale": float(cert.scale), "scale_exact": exact_str(cert.scale),
+            "input": _instance_doc(cert.input), "output": _instance_doc(cert.output)}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_eval(args) -> int:
-    graph, params = _load_graph(args.input, args.mode)
-    if args.beta is not None or args.gamma is not None:
-        beta = _scalar(args.beta, args.mode) if args.beta is not None else params.beta
-        gamma = _scalar(args.gamma, args.mode) if args.gamma is not None else params.gamma
-        params = SpinParams(beta, gamma, params.mu)
-    z = partition_function(graph, params, limit=args.enum_limit,
-                           exact=(args.mode == "rational"))
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "eval",
-        "mode": args.mode,
-        "n_vertices": graph.n,
-        "n_edges": len(graph.edges),
-        "Z": float(z),
-        "Z_exact": exact_str(z),
-    }
+    graph, base = _load_graph(args.input, args.mode)
+    params = _params(args, base)
+    exact = args.mode == "rational"
+    z = partition_function(graph, params, limit=args.enum_limit, exact=exact)
+    doc = {"mode": args.mode, "n_vertices": graph.n, "n_edges": len(graph.edges),
+           "Z": float(z), "Z_exact": exact_str(z)}
     if graph.output is not None:
-        field = effective_field(graph, params, limit=args.enum_limit,
-                                exact=(args.mode == "rational"))
-        doc["effective_field"] = float(field)
-        doc["effective_field_exact"] = exact_str(field)
-    _emit(dump_json(doc), args.output)
+        field = effective_field(graph, params, limit=args.enum_limit, exact=exact)
+        doc.update(effective_field=float(field), effective_field_exact=exact_str(field))
+    _emit(args, doc)
     return 0
 
 
 def cmd_fixpoint(args) -> int:
-    params = SpinParams(args.beta, args.gamma, args.mu)
-    rp = RecursionParams(params, args.d)
+    rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
     mu_star = solve_mu_star(rp, rel_tol=args.tol)
     consts = decay_constants(rp)
     lower = args.mu / args.gamma ** args.d
     upper = args.beta ** args.d * args.mu
-    bounds_ok = lower < mu_star < upper
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "fixpoint",
-        "mu_star": mu_star,
-        "bracket": {"lower": lower, "upper": upper, "ok": bounds_ok},
-        "alpha": consts.alpha,
-        "c": consts.c,
-        "eta": consts.eta,
-        "iota": consts.iota,
-        "t0": consts.t0,
-    }
-    _emit(dump_json(doc), args.output)
-    if not bounds_ok:
-        print("error: fixed point escaped its a-priori bracket", file=sys.stderr)
-        return 4
-    return 0
+    ok = lower < mu_star < upper
+    _emit(args, {**asdict(consts), "mu_star": mu_star,
+                 "bracket": {"lower": lower, "upper": upper, "ok": ok}})
+    return _verdict(ok, "fixed point escaped its a-priori bracket")
+
+
+def _level_doc(rec) -> dict:
+    return {**vars(rec), "branches": [{**vars(b), "gadget": gadget_to_json(b.gadget)}
+                                      for b in rec.branches]}
 
 
 def cmd_construct(args) -> int:
     params = SpinParams(args.beta, args.gamma, args.mu)
-    rp = RecursionParams(params, args.d)
-    report = certify_construct(args.ell, args.target, rp)
-    trace = []
-    for rec in report.trace:
-        trace.append({
-            "ell": rec.ell,
-            "k": rec.k,
-            "mu_values": rec.mu_values,
-            "branches": [{"i": b.i, "y": b.y, "gadget": gadget_to_json(b.gadget)}
-                         for b in rec.branches],
-            "delta": rec.delta,
-            "mu_hat_prime": rec.mu_hat_prime,
-            "terminal": rec.terminal,
-            "terminal_w": rec.terminal_w,
-        })
+    report = certify_construct(args.ell, args.target, RecursionParams(params, args.d))
     within = abs(report.log_error) <= report.bound
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "construct",
-        "ell": report.depth,
-        "target": report.target,
-        "achieved": report.achieved,
-        "log_error": report.log_error,
-        "bound": report.bound,
-        "within_bound": within,
-        "size": report.size,
-        "trace": trace,
-    }
-    _emit(dump_json(doc), args.output)
+    doc = {key: value for key, value in vars(report).items() if key not in ("gadget", "depth")}
+    _emit(args, {**doc, "ell": report.depth, "within_bound": within,
+                 "trace": [_level_doc(rec) for rec in report.trace]})
     if args.emit_gadget:
-        with open(args.emit_gadget, "w") as fh:
-            fh.write(dump_json(gadget_to_json(report.gadget)))
+        _write(args.emit_gadget, dump_json(gadget_to_json(report.gadget)))
     if args.materialize:
         graph = materialize(report.gadget, params, limit=args.materialize_limit)
-        with open(args.materialize, "w") as fh:
-            fh.write(dump_json(graph_to_json(graph, params)))
-    if not within:
-        print("error: constructed gadget violates its error bound", file=sys.stderr)
-        return 4
-    return 0
+        _write(args.materialize, dump_json(graph_to_json(graph, params)))
+    return _verdict(within, "constructed gadget violates its error bound")
 
 
 def cmd_thresholds(args) -> int:
-    params = SpinParams(args.beta, args.gamma, 1)
-    th = hardness_thresholds(params, d=args.d)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "thresholds",
-        "Delta": th.Delta,
-        "d": th.d,
-        "mu_bound_local_fields": th.mu_bound_local_fields,
-        "mu_bound_uniform": th.mu_bound_uniform,
-        "mu_bound_uniform_large_beta": th.mu_bound_uniform_large_beta,
-        "note": th.note,
-    }
-    _emit(dump_json(doc), args.output)
+    _emit(args, asdict(hardness_thresholds(SpinParams(args.beta, args.gamma, 1), d=args.d)))
     return 0
 
 
-def _reduce_one(args, graph, params):
+def _certificate(args, graph, params, left):
+    """The --kind reduction of one instance (selfloop excluded)."""
     if args.kind == "bipartite":
-        left = args.left.split(",") if args.left else None
         return red.bipartite_transform(graph, _scalar(args.mu_prime, args.mode),
                                        params, left=left)
     if args.kind == "contract":
         return red.contract_certificate(graph, params)
     if args.kind == "ising":
         return red.to_ising(graph, params)
-    if args.kind == "pipeline":
-        return red.ising_pipeline(graph, params)
-    raise DomainError(f"unknown reduction kind {args.kind!r}")
+    return red.ising_pipeline(graph, params)
+
+
+def _random_instances(args):
+    """(graph, left part, params) of each seeded random trial."""
+    if args.kind not in ("bipartite", "pipeline"):
+        raise DomainError(f"--random-trials supports bipartite/pipeline, not {args.kind}")
+    params = _params(args, SpinParams(0, 0, 1))  # --beta and --gamma are given
+    if args.kind == "pipeline" and args.mu is None:
+        # the largest field the Ising step accepts
+        params = SpinParams(params.beta, params.gamma, params.gamma / params.beta)
+    rng = random.Random(args.seed)
+    for _ in range(args.random_trials):
+        if args.kind == "bipartite":
+            yield (*random_bipartite_graph(rng), params)
+        else:
+            yield random_graph(rng, field=params.mu), None, params
+
+
+def _reduce_selfloop(args) -> int:
+    if None in (args.beta, args.gamma, args.mu, args.target, args.m):
+        raise DomainError("--kind selfloop needs --beta --gamma --mu --target --m")
+    params = _params(args, None)
+    target = _scalar(args.target, "float")
+    result = red.realize_field_selfloops(target, args.m, params)
+    doc = {**result._asdict(), "kind": "selfloop", "target": target, "m": args.m,
+           "log_error": math.log(result.achieved / target), "tolerance": 1.0 / args.m,
+           "gadget": _instance_doc(red.Instance(result.gadget, params))}
+    if not args.no_verify:
+        brute = effective_field(result.gadget, params, limit=args.enum_limit)
+        doc["verified"] = abs(brute - result.achieved) <= 1e-9 * result.achieved
+    _emit(args, doc)
+    return 0 if doc.get("verified", True) else 4
 
 
 def cmd_reduce(args) -> int:
-    mode = args.mode
     if args.kind == "selfloop":
-        if None in (args.beta, args.gamma, args.mu, args.target, args.m):
-            raise DomainError("--kind selfloop needs --beta --gamma --mu --target --m")
-        params = SpinParams(_scalar(args.beta, mode), _scalar(args.gamma, mode),
-                            _scalar(args.mu, mode))
-        target = _scalar(args.target, "float")
-        result = red.realize_field_selfloops(target, args.m, params)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "reduce",
-            "kind": "selfloop",
-            "target": target,
-            "m": args.m,
-            "x": result.x,
-            "y": result.y,
-            "achieved": result.achieved,
-            "log_error": math.log(result.achieved / target),
-            "tolerance": 1.0 / args.m,
-            "gadget": _instance_doc(red.Instance(result.gadget, params)),
-        }
-        verified = None
-        if not args.no_verify:
-            brute = effective_field(result.gadget, params, limit=args.enum_limit)
-            verified = abs(brute - result.achieved) <= 1e-9 * result.achieved
-            doc["verified"] = verified
-        _emit(dump_json(doc), args.output)
-        return 0 if verified in (None, True) else 4
-
+        return _reduce_selfloop(args)
     if args.random_trials:
-        return _cmd_reduce_random(args)
-
-    if args.input is None:
+        if args.beta is None or args.gamma is None:
+            raise DomainError("--random-trials needs --beta and --gamma")
+    elif args.input is None:
         raise DomainError(f"--kind {args.kind} needs --input (a graph JSON file)")
     if args.kind == "bipartite" and args.mu_prime is None:
         raise DomainError("--kind bipartite needs --mu-prime")
-    graph, file_params = _load_graph(args.input, mode)
-    beta = _scalar(args.beta, mode) if args.beta is not None else file_params.beta
-    gamma = _scalar(args.gamma, mode) if args.gamma is not None else file_params.gamma
-    mu = _scalar(args.mu, mode) if args.mu is not None else 1
-    params = SpinParams(beta, gamma, mu)
-    cert = _reduce_one(args, graph, params)
+
+    if args.random_trials:
+        failures = [i for i, (graph, left, params) in enumerate(_random_instances(args))
+                    if not red.verify_reduction(_certificate(args, graph, params, left),
+                                                limit=args.enum_limit).verified]
+        _emit(args, {"kind": args.kind, "random_trials": args.random_trials,
+                     "seed": args.seed, "failures": failures, "all_verified": not failures})
+        return 4 if failures else 0
+
+    graph, base = _load_graph(args.input, args.mode)
+    left = args.left.split(",") if args.left else None
+    cert = _certificate(args, graph, _params(args, base), left)
     if not args.no_verify:
         cert = red.verify_reduction(cert, limit=args.enum_limit)
-    _emit(dump_json(_certificate_doc(cert)), args.output)
+    _emit(args, _certificate_doc(cert), command=False)
     return 0 if cert.verified in (None, True) else 4
 
 
-def _cmd_reduce_random(args) -> int:
-    if args.beta is None or args.gamma is None:
-        raise DomainError("--random-trials needs --beta and --gamma")
-    if args.kind == "bipartite" and args.mu_prime is None:
-        raise DomainError("--kind bipartite needs --mu-prime")
-    rng = random.Random(args.seed)
-    failures = []
-    for i in range(args.random_trials):
-        if args.kind == "bipartite":
-            graph, left = random_bipartite_graph(rng)
-            params = SpinParams(_scalar(args.beta, args.mode),
-                                _scalar(args.gamma, args.mode), 1)
-            cert = red.bipartite_transform(graph, _scalar(args.mu_prime, args.mode),
-                                           params, left=left)
-        elif args.kind == "pipeline":
-            beta = _scalar(args.beta, args.mode)
-            gamma = _scalar(args.gamma, args.mode)
-            mu = _scalar(args.mu, args.mode) if args.mu is not None else gamma / beta
-            graph = random_graph(rng, field=mu)
-            cert = red.ising_pipeline(graph, SpinParams(beta, gamma, mu))
-        else:
-            raise DomainError(f"--random-trials supports bipartite/pipeline, not {args.kind}")
-        cert = red.verify_reduction(cert, limit=args.enum_limit)
-        if not cert.verified:
-            failures.append(i)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "reduce",
-        "kind": args.kind,
-        "random_trials": args.random_trials,
-        "seed": args.seed,
-        "failures": failures,
-        "all_verified": not failures,
-    }
-    _emit(dump_json(doc), args.output)
-    return 0 if not failures else 4
+# the header of each sweep's CSV, by --kind
+SWEEP_COLUMNS = {
+    "star": "w,field,beta_power_bound",
+    "tree": "t,field,mu_star,ratio,ratio_bound",
+    "construct-error": "ell,target,achieved,log_error,bound,size",
+    "uniqueness": "beta,mu_c",
+}
 
 
 def cmd_sweep(args) -> int:
-    if args.kind != "uniqueness" and None in (args.beta, args.gamma, args.mu):
-        raise DomainError(f"--kind {args.kind} needs --beta --gamma --mu")
-    if args.kind == "star":
-        params = SpinParams(args.beta, args.gamma, args.mu)
-        rows = [(w, field, bound)
-                for w, field, bound in star_convergence(params, args.w_max)]
-        text = dump_csv(["w", "field", "beta_power_bound"], rows)
-    elif args.kind == "tree":
-        rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
-        consts = decay_constants(rp)
-        rows = [(t, field, consts.mu_star, field / consts.mu_star, bound)
-                for t, field, bound in tree_convergence(rp, args.t_max, consts)]
-        text = dump_csv(["t", "field", "mu_star", "ratio", "ratio_bound"], rows)
-    elif args.kind == "construct-error":
-        rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
-        consts = decay_constants(rp)
-        rows = []
-        for ell in range(args.ell_max + 1):
-            for j in range(1, args.targets + 1):
-                target = consts.mu_star * j / args.targets
-                rep = certify_construct(ell, target, rp, consts)
-                rows.append((ell, rep.target, rep.achieved, rep.log_error,
-                             rep.bound, rep.size))
-        text = dump_csv(["ell", "target", "achieved", "log_error", "bound", "size"], rows)
-    elif args.kind == "uniqueness":
+    if args.kind == "uniqueness":
         rows = []
         for i in range(args.steps):
             frac = (i + 0.5) / args.steps
             beta = args.beta_min + (args.beta_max - args.beta_min) * frac
             rows.append((beta, uniqueness_threshold(beta, args.delta_reg)))
-        text = dump_csv(["beta", "mu_c"], rows)
+    elif None in (args.beta, args.gamma, args.mu):
+        raise DomainError(f"--kind {args.kind} needs --beta --gamma --mu")
+    elif args.kind == "star":
+        rows = star_convergence(SpinParams(args.beta, args.gamma, args.mu), args.w_max)
     else:
-        raise DomainError(f"unknown sweep kind {args.kind!r}")
-    _emit(text, args.output)
+        rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
+        consts = decay_constants(rp)
+        if args.kind == "tree":
+            rows = [(t, field, consts.mu_star, field / consts.mu_star, bound)
+                    for t, field, bound in tree_convergence(rp, args.t_max, consts)]
+        else:
+            rows = []
+            for ell in range(args.ell_max + 1):
+                for j in range(1, args.targets + 1):
+                    rep = certify_construct(ell, consts.mu_star * j / args.targets, rp, consts)
+                    rows.append((ell, rep.target, rep.achieved, rep.log_error,
+                                 rep.bound, rep.size))
+    _emit(args, dump_csv(SWEEP_COLUMNS[args.kind].split(","), rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one row per subcommand, name -> (handler, help, description, flags)
 
-def _add_common(sp, *, mode=False, enum=False, seed=False):
-    sp.add_argument("--output", help="also write the result to this file")
-    if mode:
-        sp.add_argument("--mode", choices=["float", "rational"], default="float",
-                        help="rational mode evaluates exactly (Fraction/Quad)")
-    if enum:
-        sp.add_argument("--enum-limit", type=int, default=ENUM_LIMIT,
-                        help="max vertices for exhaustive evaluation")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for the Mersenne Twister instance generator")
+_FLOAT = {"type": float, "required": True}
+_D = {"type": int, "required": True}
+_MODE = {"choices": ["float", "rational"], "default": "float",
+         "help": "rational mode evaluates exactly (Fraction/Quad)"}
+_ENUM_LIMIT = {"type": int, "default": ENUM_LIMIT,
+               "help": "max vertices for exhaustive evaluation"}
+_OUTPUT = {"help": "also write the result to this file"}
+
+COMMANDS = {
+    "eval": (cmd_eval, "partition function of a graph JSON file", None, {
+        "--input": {"required": True, "help": "graph JSON path"},
+        "--beta": {"help": "override the file's beta"},
+        "--gamma": {"help": "override the file's gamma"},
+        "--output": _OUTPUT, "--mode": _MODE, "--enum-limit": _ENUM_LIMIT}),
+    "fixpoint": (cmd_fixpoint, "largest fixed point and decay constants", None, {
+        "--beta": _FLOAT, "--gamma": _FLOAT, "--mu": _FLOAT, "--d": _D,
+        "--tol": {"type": float, "default": 1e-12},
+        "--output": _OUTPUT}),
+    "construct": (cmd_construct, "build and certify a target-field gadget", None, {
+        "--beta": _FLOAT, "--gamma": _FLOAT, "--mu": _FLOAT, "--d": _D,
+        "--ell": {"type": int, "required": True, "help": "recursion depth"},
+        "--target": {"type": float, "required": True,
+                     "help": "field in (0, mu_star] to realise"},
+        "--emit-gadget": {"help": "write the gadget JSON here"},
+        "--materialize": {"help": "write the materialised graph JSON here"},
+        "--materialize-limit": {"type": int, "default": 10 ** 6},
+        "--output": _OUTPUT}),
+    "thresholds": (cmd_thresholds, "degree/arity choices and field bounds", None, {
+        "--beta": _FLOAT, "--gamma": _FLOAT,
+        "--d": {"type": int, "help": "override the minimal arity"},
+        "--output": _OUTPUT}),
+    "reduce": (
+        cmd_reduce, "partition-preserving transforms with certificates",
+        "kinds: bipartite (needs --input --mu-prime --beta --gamma), "
+        "selfloop (--beta --gamma --mu --target --m), contract/ising/"
+        "pipeline (--input, params from file or flags). "
+        "--random-trials N verifies N seeded random instances.", {
+            "--kind": {"required": True,
+                       "choices": ["bipartite", "selfloop", "contract", "ising", "pipeline"]},
+            "--input": {"help": "graph JSON path"},
+            "--beta": {}, "--gamma": {}, "--mu": {},
+            "--mu-prime": {"help": "anti-Ising field for the bipartite transform"},
+            "--left": {"help": "comma-separated left part (default: 2-colour)"},
+            "--target": {"help": "field to realise (selfloop)"},
+            "--m": {"type": int, "help": "precision parameter (selfloop)"},
+            "--no-verify": {"action": "store_true"},
+            "--random-trials": {"type": int, "default": 0},
+            "--output": _OUTPUT, "--mode": _MODE, "--enum-limit": _ENUM_LIMIT,
+            "--seed": {"type": int, "default": 0,
+                       "help": "seed for the Mersenne Twister instance generator"}}),
+    "sweep": (
+        cmd_sweep, "CSV convergence/error sweeps",
+        "CSV columns -- " + " | ".join(f"{kind}: {columns}"
+                                       for kind, columns in SWEEP_COLUMNS.items()), {
+            "--kind": {"required": True, "choices": list(SWEEP_COLUMNS)},
+            "--beta": {"type": float}, "--gamma": {"type": float}, "--mu": {"type": float},
+            "--d": {"type": int, "default": 1},
+            "--w-max": {"type": int, "default": 20},
+            "--t-max": {"type": int, "default": 20},
+            "--ell-max": {"type": int, "default": 6},
+            "--targets": {"type": int, "default": 20},
+            "--delta-reg": {"type": int, "default": 4,
+                            "help": "tree degree for the uniqueness sweep"},
+            "--beta-min": {"type": float, "default": 0.05},
+            "--beta-max": {"type": float, "default": 0.45},
+            "--steps": {"type": int, "default": 9},
+            "--output": _OUTPUT}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,106 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "gadget construction with certified error bounds, and "
                     "partition-preserving reductions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="partition function of a graph JSON file")
-    p.add_argument("--input", required=True, help="graph JSON path")
-    p.add_argument("--beta", help="override the file's beta")
-    p.add_argument("--gamma", help="override the file's gamma")
-    _add_common(p, mode=True, enum=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("fixpoint", help="largest fixed point and decay constants")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(func=cmd_fixpoint)
-
-    p = sub.add_parser("construct", help="build and certify a target-field gadget")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True, help="recursion depth")
-    p.add_argument("--target", type=float, required=True,
-                   help="field in (0, mu_star] to realise")
-    p.add_argument("--emit-gadget", help="write the gadget JSON here")
-    p.add_argument("--materialize", help="write the materialised graph JSON here")
-    p.add_argument("--materialize-limit", type=int, default=10 ** 6)
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("thresholds", help="degree/arity choices and field bounds")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--d", type=int, help="override the minimal arity")
-    _add_common(p)
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser(
-        "reduce", help="partition-preserving transforms with certificates",
-        description="kinds: bipartite (needs --input --mu-prime --beta --gamma), "
-                    "selfloop (--beta --gamma --mu --target --m), contract/ising/"
-                    "pipeline (--input, params from file or flags). "
-                    "--random-trials N verifies N seeded random instances.")
-    p.add_argument("--kind", required=True,
-                   choices=["bipartite", "selfloop", "contract", "ising", "pipeline"])
-    p.add_argument("--input", help="graph JSON path")
-    p.add_argument("--beta")
-    p.add_argument("--gamma")
-    p.add_argument("--mu")
-    p.add_argument("--mu-prime", help="anti-Ising field for the bipartite transform")
-    p.add_argument("--left", help="comma-separated left part (default: 2-colour)")
-    p.add_argument("--target", help="field to realise (selfloop)")
-    p.add_argument("--m", type=int, help="precision parameter (selfloop)")
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--random-trials", type=int, default=0)
-    _add_common(p, mode=True, enum=True, seed=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser(
-        "sweep", help="CSV convergence/error sweeps",
-        description="CSV columns -- star: w,field,beta_power_bound | "
-                    "tree: t,field,mu_star,ratio,ratio_bound | "
-                    "construct-error: ell,target,achieved,log_error,bound,size | "
-                    "uniqueness: beta,mu_c")
-    p.add_argument("--kind", required=True,
-                   choices=["star", "tree", "construct-error", "uniqueness"])
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--w-max", type=int, default=20)
-    p.add_argument("--t-max", type=int, default=20)
-    p.add_argument("--ell-max", type=int, default=6)
-    p.add_argument("--targets", type=int, default=20)
-    p.add_argument("--delta-reg", type=int, default=4,
-                   help="tree degree for the uniqueness sweep")
-    p.add_argument("--beta-min", type=float, default=0.05)
-    p.add_argument("--beta-max", type=float, default=0.45)
-    p.add_argument("--steps", type=int, default=9)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (func, help_text, description, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=description)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+# library errors -> (stderr label, exit code); the first matching class wins
+_EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
+         CapacityError: ("capacity error", 3)}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # built anew on every call
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_EXIT) as exc:
+        label, code = next(v for cls, v in _EXIT.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -57,17 +57,7 @@ class Comb:
             raise DomainError("comb needs at least one child")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Fixed effective field, for unit-testing comb; never emitted."""
-    field: float
-
-    def __post_init__(self):
-        if not self.field > 0:
-            raise DomainError("leaf field must be positive")
-
-
-GadgetTree = Union[Star, DaryTree, Comb, Leaf]
+GadgetTree = Union[Star, DaryTree, Comb]
 
 
 def comb(children) -> Comb:
@@ -83,9 +73,7 @@ def gadget_field(tree: GadgetTree, p: SpinParams, _memo: dict | None = None):
         got = memo.get(node)
         if got is not None:
             return got
-        if isinstance(node, Leaf):
-            val = node.field
-        elif isinstance(node, Star):
+        if isinstance(node, Star):
             val = p.mu * edge_ratio(p.mu, p) ** node.w
         elif isinstance(node, DaryTree):
             # iterative so deep chains do not recurse; reuse the deepest
@@ -113,8 +101,6 @@ def gadget_field(tree: GadgetTree, p: SpinParams, _memo: dict | None = None):
 
 def tree_size(tree: GadgetTree) -> int:
     """Vertex count of the materialised gadget (computed structurally)."""
-    if isinstance(tree, (Leaf,)):
-        return 1
     if isinstance(tree, Star):
         return tree.w + 1
     if isinstance(tree, DaryTree):
@@ -142,8 +128,6 @@ def materialize(tree: GadgetTree, p: SpinParams,
         return vid
 
     def build(node) -> str:
-        if isinstance(node, Leaf):
-            raise DomainError("Leaf gadgets are test-only and cannot be materialised")
         root = fresh()
         if isinstance(node, Star):
             for _ in range(node.w):

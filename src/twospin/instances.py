@@ -63,7 +63,7 @@ def random_graph(rng: random.Random, max_vertices: int = 12, field=1,
 
 
 def random_gadget_tree(rng: random.Random, max_size: int = 14) -> GadgetTree:
-    """Gadget tree (no Leaf nodes) whose materialised size is at most max_size."""
+    """Gadget tree whose materialised size is at most max_size."""
 
     def build(budget: int) -> GadgetTree:
         kinds = ["star"]

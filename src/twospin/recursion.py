@@ -133,7 +133,11 @@ def solve_mu_star(rp: RecursionParams, rel_tol: float = 1e-12,
     The result is validated against the a-priori bracket
     mu/gamma**d < mu_star < beta**d * mu.
     """
-    mu_star = fixed_point_iterates(rp, rel_tol, max_iter)[-1]
+    return _bracketed(fixed_point_iterates(rp, rel_tol, max_iter)[-1], rp)
+
+
+def _bracketed(mu_star, rp: RecursionParams):
+    """mu_star, after checking mu/gamma**d < mu_star < beta**d * mu."""
     p = rp.params
     lo = p.mu / p.gamma ** rp.d
     hi = p.beta ** rp.d * p.mu
@@ -158,7 +162,8 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
     bound holds for every depth.
     """
     p = rp.params
-    mu_star = solve_mu_star(rp, rel_tol)
+    iterates = fixed_point_iterates(rp, rel_tol)
+    mu_star = _bracketed(iterates[-1], rp)
     alpha = contraction_bound(p)
     g_star = contraction_rate(mu_star, rp)
     if not 0 < g_star < 1:
@@ -176,7 +181,6 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
     else:
         raise NumericError("could not certify a contraction window around the fixed point")
 
-    iterates = fixed_point_iterates(rp, rel_tol)
     t0 = 0
     while t0 < len(iterates) and not iterates[t0] < mu_star + eta:
         t0 += 1

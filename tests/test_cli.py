@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,6 +379,188 @@ GOLDEN_REDUCE_CONTRACT = """\
 }
 """
 
+GOLDEN_FIXPOINT = """\
+{
+  "alpha": 0.171572875254,
+  "bracket": {
+    "lower": 10.0,
+    "ok": true,
+    "upper": 20.0
+  },
+  "c": 0.522568408384,
+  "command": "fixpoint",
+  "eta": 9.52493781056,
+  "iota": 9.52493781056,
+  "mu_star": 19.0498756211,
+  "schema": 1,
+  "t0": 0
+}
+"""
+
+GOLDEN_THRESHOLDS = """\
+{
+  "Delta": 6,
+  "command": "thresholds",
+  "d": 1,
+  "mu_bound_local_fields": 8.0,
+  "mu_bound_uniform": 16.0,
+  "mu_bound_uniform_large_beta": null,
+  "note": "mu_bound_uniform evaluates gamma**d * max((gamma/beta)**(Delta/2), ((beta*gamma-1)/beta)*(1+(d+1)/ln(beta*(beta*gamma)**d))) literally; for (beta, gamma) = (1, 2) this gives 16, not the sometimes-quoted 12.",
+  "schema": 1
+}
+"""
+
+GOLDEN_CONSTRUCT = """\
+{
+  "achieved": 7.60142470551,
+  "bound": 0.247026844494,
+  "command": "construct",
+  "ell": 1,
+  "log_error": 0.0134326704323,
+  "schema": 1,
+  "size": 525,
+  "target": 7.5,
+  "trace": [
+    {
+      "branches": [
+        {
+          "gadget": {
+            "d": 2,
+            "kind": "tree",
+            "t": 8
+          },
+          "i": 1,
+          "y": 14.5017346634
+        }
+      ],
+      "delta": 9.13657274694e-16,
+      "ell": 1,
+      "k": 4,
+      "mu_hat_prime": 5.38092050132,
+      "mu_values": [
+        13.4814803447,
+        15.8322487016
+      ],
+      "terminal": "recurse",
+      "terminal_w": null
+    },
+    {
+      "branches": [],
+      "delta": null,
+      "ell": 0,
+      "k": 8,
+      "mu_hat_prime": null,
+      "mu_values": [],
+      "terminal": "base-star",
+      "terminal_w": 8
+    }
+  ],
+  "within_bound": true
+}
+"""
+
+GOLDEN_REDUCE_SELFLOOP = """\
+{
+  "achieved": 5.04325274348,
+  "command": "reduce",
+  "gadget": {
+    "beta": 2.0,
+    "edges": [
+      [
+        "v0",
+        "v0"
+      ],
+      [
+        "v0",
+        "b0"
+      ],
+      [
+        "v0",
+        "b1"
+      ],
+      [
+        "v0",
+        "b2"
+      ],
+      [
+        "v0",
+        "b3"
+      ],
+      [
+        "v0",
+        "b4"
+      ],
+      [
+        "v0",
+        "b5"
+      ]
+    ],
+    "gamma": 3.0,
+    "mu": 3.0,
+    "output": "v0",
+    "vertices": [
+      {
+        "field": 3.0,
+        "id": "v0"
+      },
+      {
+        "field": 3.0,
+        "id": "b0"
+      },
+      {
+        "field": 3.0,
+        "id": "b1"
+      },
+      {
+        "field": 3.0,
+        "id": "b2"
+      },
+      {
+        "field": 3.0,
+        "id": "b3"
+      },
+      {
+        "field": 3.0,
+        "id": "b4"
+      },
+      {
+        "field": 3.0,
+        "id": "b5"
+      }
+    ]
+  },
+  "kind": "selfloop",
+  "log_error": 0.0086133470894,
+  "m": 100,
+  "schema": 1,
+  "target": 5.0,
+  "tolerance": 0.01,
+  "verified": true,
+  "x": 1,
+  "y": 6
+}
+"""
+
+GOLDEN_REDUCE_RANDOM = """\
+{
+  "all_verified": true,
+  "command": "reduce",
+  "failures": [],
+  "kind": "pipeline",
+  "random_trials": 3,
+  "schema": 1,
+  "seed": 1
+}
+"""
+
+GOLDEN_SWEEP_STAR = """\
+w,field,beta_power_bound
+0,20,20
+1,19.0909090909,20
+2,18.2231404959,20
+3,17.3948159279,20
+"""
+
 
 def test_golden_bytes(tmp_path, capsys):
     """Literal stdout: indentation, key order, separators, rounding, newline."""
@@ -389,6 +573,17 @@ def test_golden_bytes(tmp_path, capsys):
         "edges": [["u", "v"], ["v", "w"], ["w", "x"]], "output": None}, name="p4.json")
     assert run(capsys, ["reduce", "--kind", "contract", "--input", path4,
                         "--mu", "2"]) == (0, GOLDEN_REDUCE_CONTRACT)
+    for argv, golden in [
+            ("fixpoint --beta 1 --gamma 2 --mu 20 --d 1", GOLDEN_FIXPOINT),
+            ("thresholds --beta 1 --gamma 2", GOLDEN_THRESHOLDS),
+            ("construct --beta 0.9 --gamma 2 --mu 20 --d 2 --ell 1 --target 7.5",
+             GOLDEN_CONSTRUCT),
+            ("reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100",
+             GOLDEN_REDUCE_SELFLOOP),
+            ("reduce --kind pipeline --random-trials 3 --seed 1 --beta 0.8 --gamma 2",
+             GOLDEN_REDUCE_RANDOM),
+            ("sweep --kind star --beta 1 --gamma 2 --mu 20 --w-max 3", GOLDEN_SWEEP_STAR)]:
+        assert run(capsys, argv.split()) == (0, golden), argv
 
 
 def _subprocess_env():
@@ -424,6 +619,36 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+HELP_FLAGS = {
+    "eval": "--input --beta --gamma --output --mode --enum-limit",
+    "fixpoint": "--beta --gamma --mu --d --tol --output",
+    "construct": "--beta --gamma --mu --d --ell --target --emit-gadget --materialize "
+                 "--materialize-limit --output",
+    "thresholds": "--beta --gamma --d --output",
+    "reduce": "--kind --input --beta --gamma --mu --mu-prime --left --target --m --no-verify "
+              "--random-trials --output --mode --enum-limit --seed",
+    "sweep": "--kind --beta --gamma --mu --d --w-max --t-max --ell-max --targets --delta-reg "
+             "--beta-min --beta-max --steps --output",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_every_flag(command):
+    proc = subprocess.run([sys.executable, "-m", "twospin", command, "--help"],
+                          capture_output=True, text=True,
+                          env=dict(_subprocess_env(), COLUMNS="1000"))
+    assert proc.returncode == 0 and proc.stderr == ""
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", proc.stdout))
+    assert flags == set(HELP_FLAGS[command].split()) | {"--help"}
+    if command == "sweep":
+        # the CSV column lists README points at `twospin sweep --help` for
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        columns = re.findall(r"`([\w-]+: [\w,]+)`", readme)
+        assert len(columns) == 4
+        text = " ".join(proc.stdout.split())
+        assert all(c in text for c in columns)
 
 
 def test_byte_identical_reruns(tmp_path):

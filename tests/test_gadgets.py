@@ -9,7 +9,7 @@ import pytest
 
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
-                     Leaf, RecursionParams, SpinParams, Star, comb,
+                     RecursionParams, SpinParams, Star, comb,
                      contract_degree_one, decay_constants, effective_field,
                      gadget_field, gadget_from_json, gadget_to_json, materialize,
                      solve_mu_star, star_convergence, tree_convergence,
@@ -64,15 +64,12 @@ def test_comb_requires_children():
         comb([])
 
 
-def test_leaf_supports_comb_unit_tests():
-    # comb over pinned child fields matches the hand formula
-    tree = comb([Leaf(3.0), Leaf(7.0)])
+def test_comb_of_stars_matches_hand_formula():
+    # a w-star's field is mu * h(mu)**w; the comb multiplies mu by h(child field)
+    tree = comb([Star(2), Star(0)])
     h = lambda x: (P.beta * x + 1) / (x + P.gamma)
-    assert gadget_field(tree, P) == pytest.approx(P.mu * h(3.0) * h(7.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        materialize(Leaf(3.0), P)
-    with pytest.raises(DomainError):
-        gadget_to_json(Leaf(3.0))
+    field_1, field_2 = P.mu * h(P.mu) ** 2, P.mu
+    assert gadget_field(tree, P) == pytest.approx(P.mu * h(field_1) * h(field_2), rel=1e-14)
 
 
 def test_materialize_shapes():

@@ -149,6 +149,22 @@ def test_decay_constants_invariants():
         assert rates.max() <= C.c + 1e-12
 
 
+def test_decay_constants_iterate_once(monkeypatch):
+    import twospin.recursion as recursion
+    calls = []
+    iterate = recursion.fixed_point_iterates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(recursion, "fixed_point_iterates", counted)
+    rp = RecursionParams(SpinParams(0.8, 2.0, 40.0), 2)
+    C = decay_constants(rp)
+    assert len(calls) == 1
+    assert C.mu_star == solve_mu_star(rp)  # the same iterate, bit for bit
+
+
 def test_iota_at_least_log_mu():
     C = decay_constants(RP)
     assert C.iota >= math.log(20.0)  # ~2.9957
