@@ -12,6 +12,7 @@ the library's result objects, and ``_emit`` adds the schema and command keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -169,7 +170,11 @@ def _random_instances(args):
     params = _params(args, SpinParams(0, 0, 1))  # --beta and --gamma are given
     if args.kind == "pipeline" and args.mu is None:
         # the largest field the Ising step accepts
+        if not params.beta > 0:
+            raise DomainError("--kind pipeline needs --beta > 0")
         params = SpinParams(params.beta, params.gamma, params.gamma / params.beta)
+    if args.random_trials < 0:
+        raise DomainError(f"--random-trials must be >= 0, got {args.random_trials}")
     rng = random.Random(args.seed)
     for _ in range(args.random_trials):
         if args.kind == "bipartite":
@@ -332,7 +337,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    Each ``parse_args`` returns a fresh namespace and help is formatted when
+    printed, so sharing it changes no output.
+    """
     parser = argparse.ArgumentParser(
         prog="twospin",
         description="Two-state spin systems: exact partition functions, "
@@ -353,7 +364,7 @@ _EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)  # built anew on every call
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT) as exc:

@@ -15,6 +15,8 @@ tables of the input numbers, so identities can be verified with no rounding
 at all.  A graph of induced width w (under the min-degree order) costs
 O(n * 2^(w+1)) time and 2^(w+1) table entries; graphs of more than the
 enumeration limit (default 24) vertices are refused whatever their width.
+The engine's tables are numpy arrays; numpy is imported by the engine on its
+first call, not by this module.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
-
-import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError
 from .exact import Quad
@@ -161,8 +161,11 @@ def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
     v = 1, into one table each over v's neighbours and adds the two, so no
     new table spans v itself.  Exact tables are object arrays of the input
     numbers.  Float tables hold logs, so the product is a sum and the sum a
-    log-sum-exp, and no entry leaves the float range.
+    log-sum-exp, and no entry leaves the float range.  numpy is imported
+    here, on the first evaluation, so that importing the package stays cheap.
     """
+    import numpy as np
+
     if exact:
         unit, zero, mul, add = Fraction(1), Fraction(0), np.multiply, np.add
     else:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import SpinParams
 from .errors import DomainError, NumericError
 
@@ -161,6 +159,8 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
     to t0 would violate ln(x_t/mu_star) <= c**t * iota, so the published
     bound holds for every depth.
     """
+    import numpy as np  # only the window grid needs it; keeps imports cheap
+
     p = rp.params
     iterates = fixed_point_iterates(rp, rel_tol)
     mu_star = _bracketed(iterates[-1], rp)

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .core import (ENUM_LIMIT, FieldedGraph, SpinParams, partition_function)
 from .errors import DomainError, NumericError
 from .exact import half_power, is_exact, sqrt_fraction
@@ -227,6 +225,8 @@ def _cf_candidate_y(a: float, b: float, shift: float, eps: float) -> Optional[in
 def _scan_min_y(a: float, b: float, shift: float, eps: float, y_hi: int
                 ) -> tuple[Optional[tuple[int, int]], tuple[float, int, int]]:
     """Smallest y in [0, y_hi] meeting the tolerance, plus the best attempt."""
+    import numpy as np  # only this scan needs it; keeps imports cheap
+
     best = (math.inf, 0, 0)
     chunk = 100_000
     for lo in range(0, y_hi + 1, chunk):
@@ -354,10 +354,10 @@ def _field_cap_ok(field, mu, exact: bool) -> bool:
 def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     """Uniform Ising instance with a = sqrt(beta*gamma) on the same graph.
 
-    Needs every field <= mu <= gamma/beta and minimum degree 2 (self-loops
-    count twice), or a single edgeless vertex, which is certified in closed
-    form.  Transformed fields mu_v * (beta/gamma)**(deg/2) are checked to be
-    at most 1.  Z_in = sqrt(gamma/beta)**|E| * Z_ising.
+    Needs beta > 0, every field <= mu <= gamma/beta and minimum degree 2
+    (self-loops count twice), or a single edgeless vertex, which is certified
+    in closed form.  Transformed fields mu_v * (beta/gamma)**(deg/2) are
+    checked to be at most 1.  Z_in = sqrt(gamma/beta)**|E| * Z_ising.
     """
     beta, gamma, mu = p.beta, p.gamma, p.mu
     exact = _all_exact(beta, gamma, mu) and all(
@@ -367,6 +367,8 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     for v, f in graph.vertices:
         if not _field_cap_ok(f, mu, exact):
             raise DomainError(f"field of vertex {v!r} exceeds mu={mu}")
+    if not beta > 0:
+        raise DomainError("requires beta > 0")
 
     if exact:
         a = sqrt_fraction(Fraction(beta) * Fraction(gamma))

@@ -604,8 +604,12 @@ def _subprocess_env():
     ["eval", "--input", "{missing}"],
     ["reduce", "--kind", "contract", "--input", "{malformed}"],
     ["sweep", "--kind", "tree", "--beta", "1", "--gamma", "2"],
+    ["reduce", "--kind", "pipeline", "--random-trials", "3", "--beta", "0", "--gamma", "2"],
+    ["reduce", "--kind", "pipeline", "--random-trials", "-3", "--beta", "0.8", "--gamma", "2"],
+    ["reduce", "--kind", "ising", "--input", "{k2}", "--beta", "0", "--mu", "2"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
-        "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu"])
+        "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
+        "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0"])
 def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -619,6 +623,80 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# One process, every subcommand, interleaved so that a flag set by one call is
+# left at its default by a later one; with usage errors, --help and domain
+# errors among them.  eval reads --mu if the namespace has one, so a value
+# leaking from the reduce call before it would fail the eval.
+SHARED_PARSER_ARGVS = [
+    "thresholds --beta 1 --gamma 2 --d 3",
+    "eval --input {k2} --mode rational --enum-limit 5",
+    "thresholds --beta 1 --gamma 2",
+    "fixpoint --beta 1 --gamma 2 --mu 20 --d 1 --tol 1e-6",
+    "fixpoint --beta 1 --gamma 2 --d 1",
+    "reduce --kind contract --input {k2} --mu -1",
+    "eval --input {k2}",
+    "sweep --help",
+    "sweep --kind star --beta 1 --gamma 2 --mu 20 --w-max 3 --output {out}",
+    "construct --beta 0.9 --gamma 2 --mu 20 --d 2 --ell 1 --target 7.5",
+    "fixpoint --beta 1 --gamma 2 --mu 20 --d 1",
+    "reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100",
+    "frobnicate",
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """In-process calls on the one shared parser match fresh processes byte for byte."""
+    import twospin.cli as cli_mod
+    files = {"k2": write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json"),
+             "out": str(tmp_path / "out.csv")}
+    env = dict(_subprocess_env(), COLUMNS="100")
+    monkeypatch.setenv("COLUMNS", "100")
+    cli_mod.build_parser.cache_clear()
+    seen = set()
+    for line in SHARED_PARSER_ARGVS:
+        argv = line.format(**files).split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), line
+        seen.add(code)
+    assert seen == {0, 2}
+    info = cli_mod.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(SHARED_PARSER_ARGVS) - 1)
+
+
+NUMPY_OFF_IMPORT_PATH = """
+import contextlib, io, json, sys
+import twospin, twospin.cli
+from twospin.cli import main
+loaded = ["numpy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["thresholds", "--beta", "1", "--gamma", "2"])
+    main(["reduce", "--kind", "contract", "--input", sys.argv[1], "--mu", "2", "--no-verify"])
+loaded.append("numpy" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["eval", "--input", sys.argv[1], "--mode", "rational"])
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "code": code, "eval": out.getvalue()}))
+"""
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    """Importing the CLI, thresholds and an unverified reduction load no numpy."""
+    k2 = write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json")
+    proc = subprocess.run([sys.executable, "-c", NUMPY_OFF_IMPORT_PATH, k2],
+                          capture_output=True, text=True, check=True,
+                          env=_subprocess_env())
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == [False, False, True]  # eval's tables need it
+    assert (result["code"], result["eval"]) == (0, GOLDEN_EVAL_RATIONAL)
 
 
 HELP_FLAGS = {
