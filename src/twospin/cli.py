@@ -193,7 +193,11 @@ def _reduce_selfloop(args) -> int:
            "log_error": math.log(result.achieved / target), "tolerance": 1.0 / args.m,
            "gadget": _instance_doc(red.Instance(result.gadget, params))}
     if not args.no_verify:
-        brute = effective_field(result.gadget, params, limit=args.enum_limit)
+        # peeling the y bristles leaves v0 with its x loops: one vertex for any m
+        core, _ = red.contract_degree_one(result.gadget, params)
+        if not math.isfinite(core.field_map["v0"]):
+            raise NumericError("the field of v0 with its bristles peeled overflows a float")
+        brute = effective_field(core, params, limit=args.enum_limit)
         doc["verified"] = abs(brute - result.achieved) <= 1e-9 * result.achieved
     _emit(args, doc)
     return 0 if doc.get("verified", True) else 4

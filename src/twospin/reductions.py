@@ -6,7 +6,8 @@ Three families:
   graph becomes a ferromagnetic (beta, gamma) instance on the same graph with
   degree-dependent fields; Z_ferro = gamma**|E| * mu'**(-|R|) * Z_anti.
 * `realize_field_selfloops` (gamma > beta > 1): self-loops and bristles on a
-  single output vertex realise any positive target field within exp(+-1/m).
+  single output vertex realise any positive target field within exp(+-1/m);
+  the loop and bristle counts come from an exact integer first-hit search.
 * `contract_degree_one` + `to_ising`: peel pendant vertices (each removal
   contributes mu_u + gamma to the scale), then rebalance edge weights into a
   uniform Ising instance with a = sqrt(beta*gamma) and per-vertex fields
@@ -28,8 +29,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (ENUM_LIMIT, FieldedGraph, SpinParams, partition_function)
-from .errors import DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError
 from .exact import half_power, is_exact, sqrt_fraction
+from .gadgets import MATERIALIZE_LIMIT
 from .recursion import edge_ratio
 
 OUTPUT_FROM_INPUT = "output = scale * input"
@@ -175,76 +177,58 @@ class SelfloopRealization(NamedTuple):
     achieved: float
 
 
-def _convergents(theta: float, max_terms: int = 64):
-    """Continued-fraction convergents (p, q) of theta > 0."""
-    out = []
-    h_prev, k_prev = 1, 0
-    a0 = math.floor(theta)
-    h, k = a0, 1
-    out.append((h, k))
-    x = theta - a0
-    for _ in range(max_terms):
-        if x < 1e-18:
-            break
-        x = 1 / x
-        a = math.floor(x)
-        x -= a
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        out.append((h, k))
-        if k > 10 ** 15:
-            break
-    return out
+def _first_hit(step: int, modulus: int, offset: int, width: int) -> Optional[int]:
+    """Least k >= 0 with (k*step + offset) mod modulus <= width; None if none.
 
-
-def _cf_candidate_y(a: float, b: float, shift: float, eps: float) -> Optional[int]:
-    """Greedy descent over convergent steps of b/a towards |y*b - x*a - shift| <= eps."""
-    theta = b / a
-    steps = [(q, q * theta - p) for p, q in _convergents(theta) if q > 0]
-    # start where y*b - shift >= 0 so the implicit x stays non-negative
-    y = max(0, math.ceil(shift / b))
-    r = (y * b - shift) / a  # residual in units of a, x the nearest integer
-    r -= round(r)
-    for _ in range(100_000):
-        if abs(r) * a <= eps:
-            return y
-        best = None
-        for q, e in steps:
-            cand = r + e
-            cand -= round(cand)
-            if abs(cand) < abs(r) - 1e-18:
-                if best is None or abs(cand) < abs(best[1]):
-                    best = (q, cand)
-        if best is None:
+    If no k hits before k*step + offset first passes a multiple of modulus,
+    the passes that can still hit solve the same problem for (modulus mod
+    step, step), so the loop follows Euclid's algorithm on (step, modulus):
+    O(log modulus) steps, all on integers.
+    """
+    offset %= modulus
+    if offset <= width:
+        return 0
+    # least k with lo <= (k*step) mod modulus <= hi, where 0 < lo <= hi < modulus
+    step, lo, hi = step % modulus, modulus - offset, modulus - offset + width
+    frames = []
+    while True:
+        if step == 0:
             return None
-        y += best[0]
-        r = best[1]
-    return None
+        k = -(-lo // step)
+        if k * step <= hi:
+            break
+        frames.append((step, modulus, lo))
+        step, modulus, lo, hi = modulus % step, step, step - hi % step, step - lo % step
+    for step, modulus, lo in reversed(frames):
+        k = -(-(lo + modulus * k) // step)  # first k in the pass found one level down
+    return k
 
 
-def _scan_min_y(a: float, b: float, shift: float, eps: float, y_hi: int
-                ) -> tuple[Optional[tuple[int, int]], tuple[float, int, int]]:
-    """Smallest y in [0, y_hi] meeting the tolerance, plus the best attempt."""
-    import numpy as np  # only this scan needs it; keeps imports cheap
+def _least_loops_and_bristles(target, m: int, beta: float, gamma: float, mu: float
+                              ) -> tuple[int, int]:
+    """Least y, and the nearest x >= 0, with |y*b - x*a - ln(target/mu)| <= 1/m.
 
-    best = (math.inf, 0, 0)
-    chunk = 100_000
-    for lo in range(0, y_hi + 1, chunk):
-        ys = np.arange(lo, min(lo + chunk, y_hi + 1), dtype=np.int64)
-        v = ys * b - shift
-        xs = np.maximum(0, np.rint(v / a)).astype(np.int64)
-        err = np.abs(v - xs * a)
-        i = int(err.argmin())
-        if err[i] < best[0]:
-            best = (float(err[i]), int(xs[i]), int(ys[i]))
-        hits = np.nonzero(err <= eps)[0]
-        if hits.size:
-            j = int(hits[0])
-            return (int(xs[j]), int(ys[j])), best
-    return None, best
-
-
-_FALLBACK_Y = 10 ** 6
+    a, b, ln(target/mu) and 1/m are the floats of `realize_field_selfloops`,
+    written as integers over their common power-of-two denominator, so the
+    search is exact: from the least y with y*b - ln(target/mu) >= -1/m,
+    `_first_hit` finds the first y that comes within 1/m of a multiple of a.
+    A y beyond `MATERIALIZE_LIMIT` raises CapacityError.
+    """
+    floats = (math.log(gamma / beta), math.log((mu * beta + 1) / (mu + gamma)),
+              math.log(float(target) / mu), 1.0 / m)
+    if not floats[0] > 0 < floats[1]:
+        raise NumericError("ln(gamma/beta) or the bristle increment rounds to 0")
+    den = max(f.as_integer_ratio()[1] for f in floats)
+    a, b, shift, eps = (n * (den // d) for n, d in (f.as_integer_ratio() for f in floats))
+    y0 = max(0, -((eps - shift) // b))  # least y with y*b - shift >= -eps
+    k = _first_hit(b, a, y0 * b - shift + eps, 2 * eps)
+    if k is None:
+        raise NumericError(f"no integers (x, y) reach the target within 1/m = {1.0 / m}")
+    y = y0 + k
+    if y + 1 > MATERIALIZE_LIMIT:
+        raise CapacityError(f"self-loop gadget needs y = {y} bristles, "
+                            f"{y + 1} vertices; limit {MATERIALIZE_LIMIT}")
+    return max(0, round(Fraction(y * b - shift, a))), y
 
 
 def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealization:
@@ -252,9 +236,10 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
 
     Requires gamma > beta > 1 and mu > (gamma-1)/(beta-1), which makes both
     the per-loop decrement a = ln(gamma/beta) and the per-bristle increment
-    b = ln((mu*beta+1)/(mu+gamma)) positive.  Integers (x, y) with
-    |y*b - x*a - ln(target/mu)| <= 1/m are found from continued-fraction
-    candidates for y, refined to the smallest feasible y by a bounded scan.
+    b = ln((mu*beta+1)/(mu+gamma)) positive.  The smallest y for which some
+    integer x >= 0 has |y*b - x*a - ln(target/mu)| <= 1/m is found by an
+    exact integer search; a gadget of more than `MATERIALIZE_LIMIT` vertices
+    raises CapacityError before any of it is built.
     """
     beta, gamma, mu = float(p.beta), float(p.gamma), float(p.mu)
     if not gamma > beta > 1:
@@ -266,19 +251,7 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
     if m < 1:
         raise DomainError("precision parameter m must be a positive integer")
 
-    a = math.log(gamma / beta)
-    b = math.log((mu * beta + 1) / (mu + gamma))
-    shift = math.log(float(target) / mu)
-    eps = 1.0 / m
-
-    y_cap = _cf_candidate_y(a, b, shift, eps)
-    hit, best = _scan_min_y(a, b, shift, eps, y_cap if y_cap is not None else _FALLBACK_Y)
-    if hit is None:
-        raise NumericError(
-            f"no (x, y) within 1/m = {eps}; best residual {best[0]} at "
-            f"(x, y) = ({best[1]}, {best[2]})")
-    x, y = hit
-
+    x, y = _least_loops_and_bristles(target, m, beta, gamma, mu)
     vertices = [("v0", p.mu)] + [(f"b{i}", p.mu) for i in range(y)]
     edges = [("v0", "v0")] * x + [("v0", f"b{i}") for i in range(y)]
     gadget = FieldedGraph(tuple(vertices), tuple(edges), output="v0")
@@ -427,9 +400,12 @@ def ising_pipeline(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
         scale = scale * ising_cert.scale
         final = ising_cert.output
     else:
-        exact = _all_exact(p.beta, p.gamma, p.mu)
-        a = (sqrt_fraction(Fraction(p.beta) * Fraction(p.gamma)) if exact
-             else math.sqrt(float(p.beta) * float(p.gamma)))
+        # empty core: the Ising instance has no edges, so a is all there is to set
+        if _all_exact(p.beta, p.gamma, p.mu):
+            bg = Fraction(p.beta) * Fraction(p.gamma)
+            a = sqrt_fraction(bg) if bg else bg
+        else:
+            a = math.sqrt(float(p.beta) * float(p.gamma))
         final = Instance(core, SpinParams(a, a, 1))
     return ReductionCertificate(kind="pipeline", input=Instance(graph, p),
                                 output=final, scale=scale, relation=INPUT_FROM_OUTPUT)

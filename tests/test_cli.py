@@ -223,6 +223,46 @@ def test_reduce_selfloop(capsys):
     assert abs(doc["log_error"]) <= doc["tolerance"]
 
 
+def test_reduce_selfloop_verifies_large_m(capsys):
+    # 99 vertices: the verification evaluates the peeled one-vertex core
+    code, out = run(capsys, ["reduce", "--kind", "selfloop", "--beta", "2",
+                             "--gamma", "3", "--mu", "3", "--target", "5",
+                             "--m", "1000"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["x"], doc["y"]) == (36, 98)
+    assert doc["verified"] is True
+
+
+@pytest.mark.parametrize("flags, code, label", [
+    ("--gamma 4 --mu 1e9 --m 1000", 3, "capacity error"),  # y is about 1.1e8
+    ("--gamma 3 --mu 1e300 --m 300", 2, "numeric error"),  # 1e300 * 2**54 overflows
+], ids=["too-many-bristles", "peeled-field-overflow"])
+def test_reduce_selfloop_refusals(flags, code, label):
+    argv = ["reduce", "--kind", "selfloop", "--beta", "2", "--target", "5", *flags.split()]
+    proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == code
+    assert proc.stderr.startswith(f"{label}: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_reduce_pipeline_beta_zero_empty_core(tmp_path, mode):
+    # K2 peels to nothing, so no Ising core is built and a = sqrt(0 * 3) = 0
+    path = write_doc(tmp_path, dict(K2_DOC, beta=0, gamma=3))
+    argv = ["reduce", "--kind", "pipeline", "--input", path, "--beta", "0",
+            "--gamma", "3", "--mu", "2", "--mode", mode]
+    proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["verified"] is True
+    assert doc["output"]["vertices"] == [] and doc["output"]["beta"] == 0.0
+    assert doc["scale"] == 7.0  # (2 + 3) * (2/5 + 1)
+
+
 def test_reduce_random_trials(capsys):
     code, out = run(capsys, ["reduce", "--kind", "pipeline", "--random-trials",
                              "10", "--seed", "1", "--beta", "0.8", "--gamma", "2"])
@@ -676,26 +716,36 @@ import contextlib, io, json, sys
 import twospin, twospin.cli
 from twospin.cli import main
 loaded = ["numpy" in sys.modules]
+point = ["--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1"]
 with contextlib.redirect_stdout(io.StringIO()):
-    main(["thresholds", "--beta", "1", "--gamma", "2"])
-    main(["reduce", "--kind", "contract", "--input", sys.argv[1], "--mu", "2", "--no-verify"])
+    codes = [main(["thresholds", "--beta", "1", "--gamma", "2"]),
+             main(["reduce", "--kind", "contract", "--input", sys.argv[1], "--mu", "2",
+                   "--no-verify"]),
+             main(["fixpoint", *point]),
+             main(["construct", *point, "--ell", "3", "--target", "7.5"]),
+             main(["sweep", "--kind", "tree", *point]),
+             main(["sweep", "--kind", "construct-error", *point, "--ell-max", "2",
+                   "--targets", "3"]),
+             main(["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "3",
+                   "--target", "5", "--m", "1000", "--no-verify"])]
 loaded.append("numpy" in sys.modules)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["eval", "--input", sys.argv[1], "--mode", "rational"])
 loaded.append("numpy" in sys.modules)
-print(json.dumps({"loaded": loaded, "code": code, "eval": out.getvalue()}))
+print(json.dumps({"loaded": loaded, "codes": codes, "code": code, "eval": out.getvalue()}))
 """
 
 
 def test_numpy_stays_off_the_import_path(tmp_path):
-    """Importing the CLI, thresholds and an unverified reduction load no numpy."""
+    """Only the elimination engine loads numpy; commands that evaluate no Z do not."""
     k2 = write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json")
     proc = subprocess.run([sys.executable, "-c", NUMPY_OFF_IMPORT_PATH, k2],
                           capture_output=True, text=True, check=True,
                           env=_subprocess_env())
     result = json.loads(proc.stdout)
     assert result["loaded"] == [False, False, True]  # eval's tables need it
+    assert result["codes"] == [0] * 7
     assert (result["code"], result["eval"]) == (0, GOLDEN_EVAL_RATIONAL)
 
 

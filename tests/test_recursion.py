@@ -149,6 +149,43 @@ def test_decay_constants_invariants():
         assert rates.max() <= C.c + 1e-12
 
 
+def test_decay_window_is_the_widest_certified_halving():
+    """eta = mu_star/2**k, and the window of 2*eta fails unless eta = mu_star/2.
+
+    The rate's maximum over a window is taken at sqrt(gamma/beta) clamped into
+    it; a dense sample of each window checks that claim point by point.
+    """
+    rng = random.Random(11)
+    halved = 0
+    for i in range(400):
+        # odd i: anywhere; even i: d >= 3 and mu far below the construction
+        # bound, where the first window is often too wide
+        beta = rng.uniform(0.3, 1.0)
+        gamma = rng.uniform(1 / beta + 0.2, 1 / beta + 6)
+        d = rng.choice((1, 2, 3, 4) if i % 2 else (3, 4))
+        if not beta * (beta * gamma) ** d > 1:
+            continue
+        mu = construction_field_bound(SpinParams(beta, gamma, 1.0), d) * math.exp(
+            rng.uniform(-3.5, 1.0 if i % 2 else -2.0))
+        rp = RecursionParams(SpinParams(beta, gamma, mu), d)
+        C = decay_constants(rp)
+
+        def window_max(eta):
+            return contraction_rate(
+                min(max(math.sqrt(gamma / beta), C.mu_star - eta), C.mu_star + eta), rp)
+
+        assert math.frexp(C.mu_star / C.eta)[0] == 0.5  # a power of two
+        assert window_max(C.eta) <= C.c
+        if C.eta < C.mu_star / 2:
+            halved += 1
+            assert window_max(2 * C.eta) > C.c
+        for eta in (C.eta, 2 * C.eta):
+            xs = np.linspace(C.mu_star - eta, C.mu_star + eta, 2001)
+            rates = d * (beta * gamma - 1) * xs / ((xs + gamma) * (beta * xs + 1))
+            assert rates.max() <= window_max(eta) * (1 + 1e-12)
+    assert halved >= 10
+
+
 def test_decay_constants_iterate_once(monkeypatch):
     import twospin.recursion as recursion
     calls = []

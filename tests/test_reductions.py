@@ -3,17 +3,19 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from oracles import brute_effective_field, brute_z, graph_tuple
-from twospin import (DomainError, FieldedGraph, Quad, SpinParams,
-                     bipartite_transform, contract_certificate,
+from twospin import (CapacityError, DomainError, FieldedGraph, NumericError, Quad,
+                     SpinParams, bipartite_transform, contract_certificate,
                      contract_degree_one, effective_field, ising_pipeline,
                      partition_function, realize_field_selfloops, to_ising,
                      verify_reduction)
 from twospin.instances import random_bipartite_graph, random_graph
+from twospin.reductions import _least_loops_and_bristles
 
 K2 = FieldedGraph({"u": 1.0, "v": 1.0}, [("u", "v")])
 
@@ -156,6 +158,60 @@ def test_selfloop_preconditions():
         realize_field_selfloops(-1.0, 10, P_SL)
     with pytest.raises(DomainError):
         realize_field_selfloops(5.0, 0, P_SL)
+
+
+def _selfloop_by_scan(target, m, beta, gamma, mu):
+    """(x, y) with the least y, by scanning y = 0, 1, ... with Fraction residuals.
+
+    The problem is posed on the same floats as the search: a = ln(gamma/beta),
+    b = ln((mu*beta+1)/(mu+gamma)), ln(target/mu) and 1/m, each taken exactly.
+    """
+    a = Fraction(math.log(gamma / beta))
+    b = Fraction(math.log((mu * beta + 1) / (mu + gamma)))
+    v, eps = -Fraction(math.log(target / mu)), Fraction(1.0 / m)
+    y = 0
+    while True:
+        x = max(0, round(v / a))  # the nearest x >= 0
+        if abs(v - x * a) <= eps:
+            return x, y
+        v += b
+        y += 1
+
+
+def test_selfloop_search_matches_exact_scan():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        beta = rng.uniform(1.05, 5.0)
+        gamma = beta * math.exp(rng.uniform(0.02, 2.0))
+        mu = (gamma - 1) / (beta - 1) * math.exp(rng.uniform(0.01, 4.0))
+        target = math.exp(rng.uniform(-4.0, 4.0))
+        m = int(math.exp(rng.uniform(0.0, math.log(1000.0))))
+        # the search alone: `achieved` can still overflow (a known defect)
+        case = (target, m, beta, gamma, mu)
+        assert _least_loops_and_bristles(*case) == _selfloop_by_scan(*case), case
+
+
+def test_selfloop_near_rational_ratio_is_refused_before_building():
+    # b/a = 1 - 5e-9: the first y within 1/m is about 1.1e8, above the limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"y = 11\d{7} bristles"):
+            realize_field_selfloops(5.0, 1000, SpinParams(2.0, 4.0, 1e9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6  # no list of bristles was started
+
+
+@pytest.mark.parametrize("target, m, p, message", [
+    # mu is 3 ulps above (gamma-1)/(beta-1) = 2: ln((mu*beta+1)/(mu+gamma)) == 0.0
+    (5.0, 10, SpinParams(1.5, 2.0, 2.0000000000000013), "rounds to 0"),
+    # a and b are multiples of one dyadic g > 2/m, and every y*b - x*a misses ln(target/mu)
+    (2.0, 10 ** 40, SpinParams(3.0, 4.0, 8.0), "no integers"),
+], ids=["zero-bristle-increment", "no-solution"])
+def test_selfloop_numeric_errors(target, m, p, message):
+    with pytest.raises(NumericError, match=message):
+        realize_field_selfloops(target, m, p)
 
 
 def test_selfloop_gadget_structure():
