@@ -48,12 +48,24 @@ def _params(args, base: SpinParams | None) -> SpinParams:
 
 
 def _load_graph(path: str, mode: str):
+    """Graph and params of a graph JSON file, with beta, gamma and every field
+    in --mode's number type: float, or Fraction in rational mode."""
+    num = Fraction if mode == "rational" else float
+    stray = {int, float} - {num}  # parsed number types to convert; ids stay as written
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=Fraction if mode == "rational" else float)
+            doc = json.load(fh, parse_float=num)
+        for key in ("beta", "gamma"):
+            if type(doc[key]) in stray:
+                doc[key] = num(doc[key])
+        for vertex in doc["vertices"]:
+            if type(vertex["field"]) in stray:
+                vertex["field"] = num(vertex["field"])
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (KeyError, TypeError):
+        pass  # a document of another shape: graph_from_json says what is wrong
+    except (ValueError, OverflowError) as exc:  # OverflowError: Fraction(inf), float(10**400)
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     return graph_from_json(doc)
 
@@ -103,12 +115,11 @@ def _certificate_doc(cert: red.ReductionCertificate) -> dict:
 def cmd_eval(args) -> int:
     graph, base = _load_graph(args.input, args.mode)
     params = _params(args, base)
-    exact = args.mode == "rational"
-    z = partition_function(graph, params, limit=args.enum_limit, exact=exact)
+    z = partition_function(graph, params, limit=args.enum_limit)
     doc = {"mode": args.mode, "n_vertices": graph.n, "n_edges": len(graph.edges),
            "Z": float(z), "Z_exact": exact_str(z)}
     if graph.output is not None:
-        field = effective_field(graph, params, limit=args.enum_limit, exact=exact)
+        field = effective_field(graph, params, limit=args.enum_limit)
         doc.update(effective_field=float(field), effective_field_exact=exact_str(field))
     _emit(args, doc)
     return 0

@@ -9,14 +9,15 @@ multigraphs: parallel edges multiply, and a self-loop on v contributes beta
 
 Evaluation is exact, so it is the ground truth that the recursive gadget
 evaluation and every reduction certificate are checked against.  One
-variable-elimination engine serves every number type: float inputs run on
-log tables (the float range never limits log Z), Fraction/Quad inputs on
-tables of the input numbers, so identities can be verified with no rounding
-at all.  A graph of induced width w (under the min-degree order) costs
-O(n * 2^(w+1)) time and 2^(w+1) table entries; graphs of more than the
-enumeration limit (default 24) vertices are refused whatever their width.
-The engine's tables are numpy arrays; numpy is imported by the engine on its
-first call, not by this module.
+variable-elimination engine serves every number type, and `exact.is_exact`
+alone picks the tables: when beta, gamma and every field are ints, Fractions
+or Quads, the tables hold the input numbers, so identities can be verified
+with no rounding at all; when any of them is a float, every weight goes to a
+log table (the float range never limits log Z).  A graph of induced width w
+(under the min-degree order) costs O(n * 2^(w+1)) time and 2^(w+1) table
+entries; graphs of more than the enumeration limit (default 24) vertices are
+refused whatever their width.  The engine's tables are numpy arrays; numpy
+is imported by the engine on its first call, not by this module.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import CapacityError, DomainError, NumericError
-from .exact import Quad
+from .exact import is_exact
 
 ENUM_LIMIT = 24
 
@@ -130,12 +131,8 @@ class FieldedGraph:
 
 
 def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
-               limit: int, exact: Optional[bool]) -> bool:
-    """Validate the inputs; True when the exact path is to run.
-
-    ``exact=None`` picks the exact path when any field or edge weight is a
-    Fraction/Quad and the float path otherwise; True/False force a path.
-    """
+               limit: int) -> bool:
+    """Validate the inputs; True when beta, gamma and every field are exact."""
     if graph.n > limit:
         raise CapacityError(
             f"graph has {graph.n} vertices, enumeration limit is {limit}")
@@ -144,10 +141,7 @@ def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
             raise DomainError(f"pinned vertex {v!r} is not in the graph")
         if s not in (0, 1):
             raise DomainError(f"pin for {v!r} must be 0 or 1, got {s!r}")
-    if exact is None:
-        values = [params.beta, params.gamma] + [f for _, f in graph.vertices]
-        return any(isinstance(x, (Fraction, Quad)) for x in values)
-    return exact
+    return is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices))
 
 
 def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
@@ -253,32 +247,30 @@ def _exp(log_value: float, what: str) -> float:
 
 
 def partition_function(graph: FieldedGraph, params: SpinParams, *,
-                       limit: int = ENUM_LIMIT, exact: Optional[bool] = None):
+                       limit: int = ENUM_LIMIT):
     """Partition function Z by variable elimination.
 
-    ``exact=None`` picks the exact path when any field or edge weight is a
-    Fraction/Quad and the float path otherwise; pass True/False to force.
-    A float Z beyond the float range raises NumericError.
+    Exact inputs (see `exact.is_exact`) give an exact Z; otherwise Z is a
+    float, and one beyond the float range raises NumericError.
     """
-    return pinned_partition(graph, params, {}, limit=limit, exact=exact)
+    return pinned_partition(graph, params, {}, limit=limit)
 
 
 def pinned_partition(graph: FieldedGraph, params: SpinParams,
-                     pins: PinAssignment, *, limit: int = ENUM_LIMIT,
-                     exact: Optional[bool] = None):
+                     pins: PinAssignment, *, limit: int = ENUM_LIMIT):
     """Partition function restricted to configurations agreeing with pins."""
-    if _pick_path(graph, params, pins, limit, exact):
+    if _pick_path(graph, params, pins, limit):
         return _partition_exact(graph, params, pins)
     return _exp(_log_partition_float(graph, params, pins), "Z")
 
 
 def effective_field(graph: FieldedGraph, params: SpinParams, *,
-                    limit: int = ENUM_LIMIT, exact: Optional[bool] = None):
+                    limit: int = ENUM_LIMIT):
     """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex."""
     if graph.output is None:
         raise DomainError("graph has no output vertex")
     pins = {graph.output: 0}, {graph.output: 1}
-    if _pick_path(graph, params, pins[0], limit, exact):
+    if _pick_path(graph, params, pins[0], limit):
         z0, z1 = (_partition_exact(graph, params, p) for p in pins)
         if z1 != 0:
             return z0 / z1

@@ -40,9 +40,14 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, m * n
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; a Quad qualifies when it has no sqrt part."""
+    return x.a if isinstance(x, Quad) and not x.b else Fraction(x)
+
+
 def sqrt_fraction(x) -> "Fraction | Quad":
     """Exact square root of a positive rational; Fraction when x is a square."""
-    x = Fraction(x)
+    x = _rational(x)
     if x <= 0:
         raise ValueError("sqrt_fraction needs a positive rational")
     # sqrt(p/q) = sqrt(p*q)/q
@@ -56,15 +61,16 @@ def sqrt_fraction(x) -> "Fraction | Quad":
 
 def half_power(x, k: int):
     """Exact x**(k/2) for a positive rational x and any integer k."""
-    x = Fraction(x)
+    x = _rational(x)
     q, r = divmod(k, 2)
     whole = x ** q
     return whole * sqrt_fraction(x) if r else whole
 
 
-def is_exact(value) -> bool:
-    """True when arithmetic on value is exact (no rounding)."""
-    return isinstance(value, (int, Fraction, Quad))
+def is_exact(*values) -> bool:
+    """True when every value is an int, Fraction or Quad: arithmetic on them
+    never rounds.  The package's one rule for exact versus float evaluation."""
+    return all(isinstance(v, (int, Fraction, Quad)) for v in values)
 
 
 class Quad:

@@ -192,16 +192,3 @@ def gadget_to_json(tree: GadgetTree) -> dict:
         return {"kind": "comb", "children": [gadget_to_json(c) for c in tree.children]}
     raise DomainError(f"gadget {tree!r} has no JSON form")
 
-
-def gadget_from_json(doc) -> GadgetTree:
-    try:
-        kind = doc["kind"]
-        if kind == "star":
-            return Star(int(doc["w"]))
-        if kind == "tree":
-            return DaryTree(int(doc["d"]), int(doc["t"]))
-        if kind == "comb":
-            return Comb(tuple(gadget_from_json(c) for c in doc["children"]))
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed gadget document: {exc}") from exc
-    raise DomainError(f"unknown gadget kind {kind!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 
 from .core import FieldedGraph
-from .gadgets import Comb, DaryTree, GadgetTree, Star, tree_size
 
 
 def random_bipartite_graph(rng: random.Random, max_vertices: int = 12,
@@ -61,41 +60,3 @@ def random_graph(rng: random.Random, max_vertices: int = 12, field=1,
     vertices = tuple((v, field) for v in ids)
     return FieldedGraph(vertices, tuple(edges))
 
-
-def random_gadget_tree(rng: random.Random, max_size: int = 14) -> GadgetTree:
-    """Gadget tree whose materialised size is at most max_size."""
-
-    def build(budget: int) -> GadgetTree:
-        kinds = ["star"]
-        if budget >= 3:
-            kinds.append("tree")
-        if budget >= 2:
-            kinds.append("comb")
-        kind = rng.choice(kinds)
-        if kind == "star":
-            return Star(rng.randint(0, budget - 1))
-        if kind == "tree":
-            d = rng.randint(1, 3)
-            # largest depth fitting the budget
-            t, size = 0, 1
-            while True:
-                nxt = t + 2 if d == 1 else (d ** (t + 2) - 1) // (d - 1)
-                if nxt > budget:
-                    break
-                t, size = t + 1, nxt
-            return DaryTree(d, rng.randint(0, t))
-        children = []
-        remaining = budget - 1
-        while remaining > 0:
-            part = rng.randint(1, remaining)
-            children.append(build(part))
-            remaining -= tree_size(children[-1])
-            if children and rng.random() < 0.35:
-                break
-        if not children:
-            children.append(Star(0))
-        return Comb(tuple(children))
-
-    tree = build(max_size)
-    assert tree_size(tree) <= max_size
-    return tree

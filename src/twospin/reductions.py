@@ -14,9 +14,12 @@ Three families:
   mu_v * (beta/gamma)**(deg/2); Z = sqrt(gamma/beta)**|E'| * Z_ising.
 
 Every operation returns a `ReductionCertificate` holding both instances, the
-exact relating scalar, and the direction the scalar applies in;
-`verify_reduction` re-evaluates both partition functions (exactly when the
-instances carry Fraction/Quad numbers) and stamps the certificate.
+relating scalar, and the direction the scalar applies in; `verify_reduction`
+re-evaluates both partition functions and stamps the certificate.  Each
+formula is written once, over the number type `lift` picks: when every input
+is exact (`exact.is_exact`: int, Fraction or Quad) it runs in Fraction/Quad
+arithmetic and the certificate is checked with ``==``; when any input is a
+float it runs in floats and is checked to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -60,16 +63,29 @@ class ReductionCertificate:
     verified: Optional[bool] = None
 
 
-def _all_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def lift(*values) -> tuple:
+    """The values in one number type: ints become Fractions when every value
+    is exact, and every value becomes a float otherwise."""
+    if is_exact(*values):
+        return tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+    return tuple(float(v) for v in values)
+
+
+def _sqrt(x):
+    return sqrt_fraction(x) if is_exact(x) else math.sqrt(x)
+
+
+def _half_power(x, k: int):
+    """x**(k/2); exact (Fraction/Quad) for an exact x."""
+    return half_power(x, k) if is_exact(x) else x ** (k / 2)
 
 
 def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT,
                      rel_tol: float = 1e-9) -> ReductionCertificate:
     """Re-evaluate both sides and stamp ``verified``.
 
-    Exact instances (Fraction/Quad throughout) are required to agree exactly;
-    float instances must agree to ``rel_tol`` relative error.
+    Exact sides (`exact.is_exact`) are required to agree exactly; otherwise
+    they must agree to ``rel_tol`` relative error.
     """
     z_in = partition_function(cert.input.graph, cert.input.params, limit=limit)
     z_out = partition_function(cert.output.graph, cert.output.params, limit=limit)
@@ -79,7 +95,7 @@ def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT,
         lhs, rhs = z_in, cert.scale * z_out
     else:
         raise DomainError(f"unknown certificate relation {cert.relation!r}")
-    if is_exact(lhs) and is_exact(rhs):
+    if is_exact(lhs, rhs):
         ok = lhs == rhs
     else:
         lhs_f, rhs_f = float(lhs), float(rhs)
@@ -133,10 +149,9 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
 
     Same graph; u in L gets field mu' * (gamma/beta)**(deg/2), v in R gets
     (1/mu') * (gamma/beta)**(deg/2).  Z_ferro = gamma**|E| mu'**(-|R|) Z_anti.
-    Exact (Fraction/Quad) instances are built when beta, gamma and mu' are all
-    rational.
+    The instances are exact (Fraction/Quad) when beta, gamma and mu' all are.
     """
-    beta, gamma = target.beta, target.gamma
+    beta, gamma, mu_prime = lift(target.beta, target.gamma, mu_prime)
     if not beta * gamma > 1:
         raise DomainError("target system must be ferromagnetic (beta*gamma > 1)")
     if not beta < gamma:
@@ -145,20 +160,12 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
         raise DomainError("mu' must exceed 1")
     part_l, part_r = _bipartition(graph, left)
 
-    exact = _all_exact(beta, gamma, mu_prime)
     deg = graph.degrees()
-    if exact:
-        q = 1 / sqrt_fraction(Fraction(beta) * Fraction(gamma))
-        ratio = Fraction(gamma) / Fraction(beta)
-        fields = {v: mu_prime * half_power(ratio, deg[v]) for v in part_l}
-        fields.update({v: half_power(ratio, deg[v]) / mu_prime for v in part_r})
-        scale = Fraction(gamma) ** len(graph.edges) / Fraction(mu_prime) ** len(part_r)
-    else:
-        q = 1 / math.sqrt(float(beta) * float(gamma))
-        ratio = float(gamma) / float(beta)
-        fields = {v: float(mu_prime) * ratio ** (deg[v] / 2) for v in part_l}
-        fields.update({v: ratio ** (deg[v] / 2) / float(mu_prime) for v in part_r})
-        scale = float(gamma) ** len(graph.edges) / float(mu_prime) ** len(part_r)
+    q = 1 / _sqrt(beta * gamma)
+    ratio = gamma / beta
+    fields = {v: mu_prime * _half_power(ratio, deg[v]) for v in part_l}
+    fields.update({v: _half_power(ratio, deg[v]) / mu_prime for v in part_r})
+    scale = gamma ** len(graph.edges) / mu_prime ** len(part_r)
 
     anti = Instance(graph.with_fields({v: mu_prime for v, _ in graph.vertices}),
                     SpinParams(q, q, mu_prime))
@@ -239,7 +246,8 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
     b = ln((mu*beta+1)/(mu+gamma)) positive.  The smallest y for which some
     integer x >= 0 has |y*b - x*a - ln(target/mu)| <= 1/m is found by an
     exact integer search; a gadget of more than `MATERIALIZE_LIMIT` vertices
-    raises CapacityError before any of it is built.
+    raises CapacityError before any of it is built, and an achieved field that
+    underflows to 0.0 raises NumericError.
     """
     beta, gamma, mu = float(p.beta), float(p.gamma), float(p.mu)
     if not gamma > beta > 1:
@@ -256,6 +264,9 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
     edges = [("v0", "v0")] * x + [("v0", f"b{i}") for i in range(y)]
     gadget = FieldedGraph(tuple(vertices), tuple(edges), output="v0")
     achieved = mu * (beta / gamma) ** x * ((mu * beta + 1) / (mu + gamma)) ** y
+    if achieved == 0.0:
+        raise NumericError(f"the achieved field of x = {x} loops and y = {y} bristles "
+                           "underflows a float")
     return SelfloopRealization(x=x, y=y, gadget=gadget, achieved=achieved)
 
 
@@ -318,39 +329,28 @@ def contract_certificate(graph: FieldedGraph, p: SpinParams) -> ReductionCertifi
                                 relation=INPUT_FROM_OUTPUT)
 
 
-def _field_cap_ok(field, mu, exact: bool) -> bool:
-    if exact:
-        return field <= mu
-    return float(field) <= float(mu) * (1 + 1e-12)
-
-
 def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     """Uniform Ising instance with a = sqrt(beta*gamma) on the same graph.
 
     Needs beta > 0, every field <= mu <= gamma/beta and minimum degree 2
     (self-loops count twice), or a single edgeless vertex, which is certified
     in closed form.  Transformed fields mu_v * (beta/gamma)**(deg/2) are
-    checked to be at most 1.  Z_in = sqrt(gamma/beta)**|E| * Z_ising.
+    checked to be at most 1; in floats both caps allow a relative 1e-12 of
+    rounding.  Z_in = sqrt(gamma/beta)**|E| * Z_ising.
     """
-    beta, gamma, mu = p.beta, p.gamma, p.mu
-    exact = _all_exact(beta, gamma, mu) and all(
-        isinstance(f, (int, Fraction)) for _, f in graph.vertices)
+    beta, gamma, mu, *fields = lift(p.beta, p.gamma, p.mu, *(f for _, f in graph.vertices))
+    slack = 1 if is_exact(mu) else 1 + 1e-12
     if not mu * beta <= gamma:
         raise DomainError("requires mu <= gamma/beta")
-    for v, f in graph.vertices:
-        if not _field_cap_ok(f, mu, exact):
-            raise DomainError(f"field of vertex {v!r} exceeds mu={mu}")
+    for (v, _), f in zip(graph.vertices, fields):
+        if not f <= mu * slack:
+            raise DomainError(f"field of vertex {v!r} exceeds mu={p.mu}")
     if not beta > 0:
         raise DomainError("requires beta > 0")
 
-    if exact:
-        a = sqrt_fraction(Fraction(beta) * Fraction(gamma))
-        down = Fraction(beta) / Fraction(gamma)
-        scale = half_power(Fraction(gamma) / Fraction(beta), len(graph.edges))
-    else:
-        a = math.sqrt(float(beta) * float(gamma))
-        down = float(beta) / float(gamma)
-        scale = (float(gamma) / float(beta)) ** (len(graph.edges) / 2)
+    a = _sqrt(beta * gamma)
+    down = beta / gamma
+    scale = _half_power(gamma / beta, len(graph.edges))
 
     if graph.n == 1 and not graph.edges:
         # edgeless singleton: Z = field + 1 on both sides, scale is 1
@@ -367,10 +367,9 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
                 "isolated vertices first")
 
     new_fields = {}
-    for v, f in graph.vertices:
-        nf = f * half_power(down, deg[v]) if exact else float(f) * down ** (deg[v] / 2)
-        cap_ok = nf <= 1 if exact else nf <= 1 + 1e-12
-        if not cap_ok:
+    for (v, _), f in zip(graph.vertices, fields):
+        nf = f * _half_power(down, deg[v])
+        if not nf <= slack:
             raise DomainError(f"transformed field of {v!r} is {nf} > 1")
         new_fields[v] = nf
     ising = Instance(graph.with_fields(new_fields), SpinParams(a, a, 1))
@@ -401,11 +400,9 @@ def ising_pipeline(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
         final = ising_cert.output
     else:
         # empty core: the Ising instance has no edges, so a is all there is to set
-        if _all_exact(p.beta, p.gamma, p.mu):
-            bg = Fraction(p.beta) * Fraction(p.gamma)
-            a = sqrt_fraction(bg) if bg else bg
-        else:
-            a = math.sqrt(float(p.beta) * float(p.gamma))
+        beta, gamma, _ = lift(p.beta, p.gamma, p.mu)
+        bg = beta * gamma
+        a = _sqrt(bg) if bg else bg
         final = Instance(core, SpinParams(a, a, 1))
     return ReductionCertificate(kind="pipeline", input=Instance(graph, p),
                                 output=final, scale=scale, relation=INPUT_FROM_OUTPUT)

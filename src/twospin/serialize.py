@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
-from .exact import Quad
+from .exact import Quad, is_exact
 
 SCHEMA_VERSION = 1
 
@@ -29,12 +29,8 @@ def format_float(x: float) -> float:
 
 
 def exact_str(value) -> str | None:
-    """Lossless string form of an exact scalar, or None for floats."""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (Fraction, Quad)):
-        return str(value)
-    return None
+    """Lossless string form of an exact scalar (`is_exact`), or None for floats."""
+    return str(value) if is_exact(value) else None
 
 
 def _float(x) -> str:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from gadget_helpers import random_gadget_tree
 from oracles import brute_effective_field, brute_z, graph_tuple
 from twospin import (RecursionParams, SpinParams, certify,
                      construction_field_bound, contraction_bound,
@@ -22,7 +23,7 @@ from twospin import (RecursionParams, SpinParams, certify,
                      partition_function, realize_field_selfloops,
                      hardness_thresholds, solve_mu_star, star_convergence,
                      verify_reduction)
-from twospin.instances import random_bipartite_graph, random_gadget_tree, random_graph
+from twospin.instances import random_bipartite_graph, random_graph
 
 SEED = 20260810
 

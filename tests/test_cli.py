@@ -7,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twospin
-from twospin import SpinParams, core, effective_field, gadget_from_json, gadget_field, graph_from_json
+from gadget_helpers import gadget_from_json
+from twospin import (FieldedGraph, NumericError, SpinParams, core, effective_field,
+                     gadget_field, graph_from_json, is_exact, partition_function)
 from twospin.cli import main
 
 K2_DOC = {"beta": 1, "gamma": 2,
@@ -237,7 +240,10 @@ def test_reduce_selfloop_verifies_large_m(capsys):
 @pytest.mark.parametrize("flags, code, label", [
     ("--gamma 4 --mu 1e9 --m 1000", 3, "capacity error"),  # y is about 1.1e8
     ("--gamma 3 --mu 1e300 --m 300", 2, "numeric error"),  # 1e300 * 2**54 overflows
-], ids=["too-many-bristles", "peeled-field-overflow"])
+    ("--gamma 3 --mu 1e300 --m 1000", 2, "numeric error"),  # (2/3)**1845 underflows
+    ("--gamma 3 --mu 1e300 --m 1000 --no-verify", 2, "numeric error"),
+], ids=["too-many-bristles", "peeled-field-overflow", "achieved-underflow",
+        "achieved-underflow-no-verify"])
 def test_reduce_selfloop_refusals(flags, code, label):
     argv = ["reduce", "--kind", "selfloop", "--beta", "2", "--target", "5", *flags.split()]
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
@@ -261,6 +267,34 @@ def test_reduce_pipeline_beta_zero_empty_core(tmp_path, mode):
     assert doc["verified"] is True
     assert doc["output"]["vertices"] == [] and doc["output"]["beta"] == 0.0
     assert doc["scale"] == 7.0  # (2 + 3) * (2/5 + 1)
+
+
+def test_one_number_policy(tmp_path, capsys):
+    """exact.is_exact alone picks exact or float arithmetic.
+
+    The CLI reads every number of a graph file in --mode's type, so integer
+    JSON is float in float mode whether or not --mu is given, and exact in
+    rational mode; the library takes all-int inputs as exact and a
+    Fraction/float mix as float.
+    """
+    k3 = write_doc(tmp_path, {"beta": 1, "gamma": 2,
+                              "vertices": [{"id": v, "field": 1} for v in "abc"],
+                              "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+                              "output": None})
+    for flags in ([], ["--mu", "1"]):
+        code, out = run(capsys, ["reduce", "--kind", "ising", "--input", k3, *flags])
+        assert (code, json.loads(out)["scale_exact"]) == (0, None), flags
+    code, out = run(capsys, ["reduce", "--kind", "ising", "--input", k3, "--mode", "rational"])
+    assert (code, json.loads(out)["scale_exact"]) == (0, "2*sqrt(2)")
+    code, out = run(capsys, ["eval", "--input", k3, "--mode", "rational"])
+    assert (code, json.loads(out)["Z_exact"]) == (0, "18")
+
+    z = partition_function(FieldedGraph({"u": 1, "v": 1}, [("u", "v")]), SpinParams(1, 2, 1))
+    assert z == 5 and is_exact(z)
+    # 20 * ln(1e40 + 1) > 709.78: the float path reports Z leaving the float range
+    isolated = FieldedGraph({f"v{i}": 1e40 for i in range(20)}, [])
+    with pytest.raises(NumericError, match="overflows a float"):
+        partition_function(isolated, SpinParams(Fraction(1), Fraction(1), 1))
 
 
 def test_reduce_random_trials(capsys):

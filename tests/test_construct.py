@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from twospin import (DomainError, LevelState, RecursionParams, SpinParams,
-                     Star, certify, check_invariant, construct,
+from twospin import (DomainError, RecursionParams, SpinParams,
+                     Star, certify, construct,
                      decay_constants, edge_ratio, gadget_field,
                      invert_edge_ratio, solve_mu_star)
-from twospin.construct import _cutoff_delta
+from twospin.construct import LevelState, _cutoff_delta, check_invariant
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 C = decay_constants(RP)

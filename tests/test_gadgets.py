@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from gadget_helpers import gadget_from_json, random_gadget_tree
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
                      RecursionParams, SpinParams, Star, comb,
                      contract_degree_one, decay_constants, effective_field,
-                     gadget_field, gadget_from_json, gadget_to_json, materialize,
+                     gadget_field, gadget_to_json, materialize,
                      solve_mu_star, star_convergence, tree_convergence,
                      tree_size)
-from twospin.instances import random_gadget_tree
 
 P = SpinParams(1.0, 2.0, 20.0)
 

@@ -13,10 +13,11 @@ import pytest
 
 from twospin import (DecayConstants, DomainError, RecursionParams, SpinParams,
                      construction_field_bound, contraction_bound,
-                     contraction_rate, decay_constants, edge_contraction,
-                     edge_ratio, fixed_point_iterates, hardness_thresholds,
+                     decay_constants, edge_contraction,
+                     edge_ratio, hardness_thresholds,
                      invert_edge_ratio, level_map, min_arity, solve_mu_star,
                      uniqueness_threshold)
+from twospin.recursion import contraction_rate, fixed_point_iterates
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 MU_STAR_CLOSED = 9 + math.sqrt(101)  # root of x^2 - 18x - 20

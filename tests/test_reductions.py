@@ -208,7 +208,9 @@ def test_selfloop_near_rational_ratio_is_refused_before_building():
     (5.0, 10, SpinParams(1.5, 2.0, 2.0000000000000013), "rounds to 0"),
     # a and b are multiples of one dyadic g > 2/m, and every y*b - x*a misses ln(target/mu)
     (2.0, 10 ** 40, SpinParams(3.0, 4.0, 8.0), "no integers"),
-], ids=["zero-bristle-increment", "no-solution"])
+    # x = 1845 loops: (2/3)**1845 underflows, so the achieved field is 0.0
+    (5.0, 1000, SpinParams(2.0, 3.0, 1e300), "underflows"),
+], ids=["zero-bristle-increment", "no-solution", "achieved-underflow"])
 def test_selfloop_numeric_errors(target, m, p, message):
     with pytest.raises(NumericError, match=message):
         realize_field_selfloops(target, m, p)
@@ -420,6 +422,17 @@ def test_pipeline_handles_fully_contracted_graph():
     cert = ising_pipeline(g, pe)
     assert cert.output.graph.n == 0
     assert cert.scale == Fraction(34)
+    assert verify_reduction(cert).verified
+
+
+def test_pipeline_exact_with_quad_edge_weights():
+    # the anti-Ising side of the K2 bipartite transform: beta = gamma = sqrt(2)/2
+    anti = bipartite_transform(FieldedGraph({"u": 1, "v": 1}, [("u", "v")]), Fraction(3),
+                               SpinParams(Fraction(1), Fraction(2), 1)).input
+    assert isinstance(anti.params.beta, Quad)
+    cert = ising_pipeline(anti.graph, anti.params)
+    assert cert.output.graph.n == 0
+    assert cert.scale == Quad(6, 5, 2)  # (3 + s) * (3*(3s + 1)/(3 + s) + 1), s = sqrt(2)/2
     assert verify_reduction(cert).verified
 
 
