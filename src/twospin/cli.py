@@ -95,17 +95,26 @@ def _verdict(ok: bool, failure: str) -> int:
     return 4
 
 
+def _float(x, what: str) -> float:
+    """x as a float; an exact x beyond the float range is a NumericError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise NumericError(f"{what} overflows a float") from None
+
+
 def _instance_doc(inst: red.Instance) -> dict:
     """The instance's graph JSON with every number as a float."""
     doc = graph_to_json(inst.graph, inst.params)
     for vertex in doc["vertices"]:
-        vertex["field"] = float(vertex["field"])
-    return {**doc, "beta": float(doc["beta"]), "gamma": float(doc["gamma"]),
-            "mu": float(inst.params.mu)}
+        vertex["field"] = _float(vertex["field"], "a vertex field")
+    return {**doc, "beta": _float(doc["beta"], "beta"), "gamma": _float(doc["gamma"], "gamma"),
+            "mu": _float(inst.params.mu, "mu")}
 
 
 def _certificate_doc(cert: red.ReductionCertificate) -> dict:
-    return {**vars(cert), "scale": float(cert.scale), "scale_exact": exact_str(cert.scale),
+    return {**vars(cert), "scale": _float(cert.scale, "scale"),
+            "scale_exact": exact_str(cert.scale),
             "input": _instance_doc(cert.input), "output": _instance_doc(cert.output)}
 
 
@@ -117,10 +126,11 @@ def cmd_eval(args) -> int:
     params = _params(args, base)
     z = partition_function(graph, params, limit=args.enum_limit)
     doc = {"mode": args.mode, "n_vertices": graph.n, "n_edges": len(graph.edges),
-           "Z": float(z), "Z_exact": exact_str(z)}
+           "Z": _float(z, "Z"), "Z_exact": exact_str(z)}
     if graph.output is not None:
         field = effective_field(graph, params, limit=args.enum_limit)
-        doc.update(effective_field=float(field), effective_field_exact=exact_str(field))
+        doc.update(effective_field=_float(field, "effective field"),
+                   effective_field_exact=exact_str(field))
     _emit(args, doc)
     return 0
 

@@ -11,11 +11,14 @@ Evaluation is exact, so it is the ground truth that the recursive gadget
 evaluation and every reduction certificate are checked against.  One
 variable-elimination engine serves every number type, and `exact.is_exact`
 alone picks the tables: when beta, gamma and every field are ints, Fractions
-or Quads, the tables hold the input numbers, so identities can be verified
-with no rounding at all; when any of them is a float, every weight goes to a
-log table (the float range never limits log Z).  A graph of induced width w
-(under the min-degree order) costs O(n * 2^(w+1)) time and 2^(w+1) table
-entries; graphs of more than the enumeration limit (default 24) vertices are
+or Quads, the tables hold Python integers over one common denominator (a
+number of Q(sqrt(m)) as a 2x2 integer block), and Z is that one integer
+over the denominator, reduced once, so identities can be verified with no
+rounding and with no Fraction or Quad arithmetic inside the engine; when
+any of them is a float, every weight goes to a log table (the float range
+never limits log Z).  A graph of induced width w (under the min-degree
+order) costs O(n * 2^(w+1)) time and 2^(w+1) table entries on either path;
+graphs of more than the enumeration limit (default 24) vertices are
 refused whatever their width.  The engine's tables are numpy arrays; numpy
 is imported by the engine on its first call, not by this module.
 """
@@ -30,7 +33,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import CapacityError, DomainError, NumericError
-from .exact import is_exact
+from .exact import Quad, is_exact
 
 ENUM_LIMIT = 24
 
@@ -144,42 +147,9 @@ def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
     return is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices))
 
 
-def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
-               exact: bool):
-    """Z by variable elimination: exactly, or as log Z on the float path.
-
-    Each vertex carries one unary factor (field, self-loops, pin) and each
-    adjacent pair one factor ``[[beta^k, 1], [1, gamma^k]]`` for its k
-    parallel edges.  Vertices go by least current degree, ties by position;
-    eliminating v multiplies the factors on v, restricted to v = 0 and to
-    v = 1, into one table each over v's neighbours and adds the two, so no
-    new table spans v itself.  Exact tables are object arrays of the input
-    numbers.  Float tables hold logs, so the product is a sum and the sum a
-    log-sum-exp, and no entry leaves the float range.  numpy is imported
-    here, on the first evaluation, so that importing the package stays cheap.
-    """
-    import numpy as np
-
-    if exact:
-        unit, zero, mul, add = Fraction(1), Fraction(0), np.multiply, np.add
-    else:
-        unit, zero, mul, add = 0.0, -math.inf, np.add, np.logaddexp
-
-    def weight(x, k):
-        """x**k, or its log on the float path."""
-        if exact:
-            return x ** k
-        return k * math.log(x) if x > 0 else (zero if k else unit)
-
-    def product(parts, s, shape):
-        """Product of a bucket's tables at spin s of the eliminated vertex."""
-        out = np.broadcast_to(parts[0][s, ...], shape).copy()
-        for t in parts[1:]:
-            mul(out, t[s, ...], out=out)
-        return out
-
+def _multiplicities(graph: FieldedGraph):
+    """Self-loops per vertex position, and parallel edges per position pair i < j."""
     pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    beta, gamma = params.beta, params.gamma
     loops = [0] * len(pos)
     mult = Counter()
     for u, v in graph.edges:
@@ -188,32 +158,49 @@ def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
             loops[i] += 1
         else:
             mult[i, j] += 1
-    dtype = object if exact else float
-    factors = []
-    for i, (v, f) in enumerate(graph.vertices):
-        row = [mul(weight(f, 1), weight(beta, loops[i])), weight(gamma, loops[i])]
-        if v in pins:
-            row[1 - pins[v]] = zero
-        factors.append(((i,), np.array(row, dtype=dtype)))
-    for (i, j), k in mult.items():
-        table = [[weight(beta, k), unit], [unit, weight(gamma, k)]]
-        factors.append(((i, j), np.array(table, dtype=dtype)))
+    return loops, mult
 
-    adj = [set() for _ in pos]
-    for i, j in mult:
-        adj[i].add(j)
-        adj[j].add(i)
+
+def _eliminate(factors: list, n: int, unit, mul, add):
+    """Contract the factor tables over vertices 0..n-1 by variable elimination.
+
+    A factor is (scope, table): one table axis of size 2 per vertex of the
+    scope, followed by the block axes that ``unit`` has (none on the float
+    path).  Vertices go by least current degree, ties by position;
+    eliminating v multiplies the factors on v, restricted to v = 0 and to
+    v = 1, into one table each over v's neighbours and adds the two, so no
+    new table spans v itself.  numpy is imported here, on the first
+    evaluation, so that importing the package stays cheap.
+    """
+    import numpy as np
+
+    block = np.shape(unit)
+
+    def product(parts, s, shape):
+        """Product of a bucket's tables at spin s of the eliminated vertex."""
+        out = np.broadcast_to(parts[0][s, ...], shape).copy()
+        for t in parts[1:]:
+            mul(out, t[s, ...], out=out)
+        return out
+
+    adj = [set() for _ in range(n)]
+    for scope, _ in factors:
+        if len(scope) == 2:
+            i, j = scope
+            adj[i].add(j)
+            adj[j].add(i)
     z = unit
-    remaining = set(range(len(pos)))
+    remaining = set(range(n))
     while remaining:
         v = min(remaining, key=lambda i: (len(adj[i]), i))
         remaining.remove(v)
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         rest = sorted(adj[v])
-        shape = (2,) * len(rest)
+        shape = (2,) * len(rest) + block
         parts = [np.moveaxis(t, scope.index(v), 0).reshape(
-            [2] + [2 if x in scope else 1 for x in rest]) for scope, t in bucket]
+            [2] + [2 if x in scope else 1 for x in rest] + list(block))
+            for scope, t in bucket]
         msg = product(parts, 0, shape)
         add(msg, product(parts, 1, shape), out=msg)
         if rest:
@@ -228,14 +215,104 @@ def _eliminate(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
 
 def _log_partition_float(graph: FieldedGraph, params: SpinParams,
                          pins: PinAssignment) -> float:
-    """log Z on the float path; -inf when Z == 0."""
-    return float(_eliminate(graph, params, pins, exact=False))
+    """log Z on the float path; -inf when Z == 0.
+
+    Tables hold logs, so the product is a sum and the sum a log-sum-exp, and
+    no entry leaves the float range.
+    """
+    import numpy as np
+
+    def weight(x, k):
+        """log(x**k)."""
+        return k * math.log(x) if x > 0 else (-math.inf if k else 0.0)
+
+    beta, gamma = params.beta, params.gamma
+    loops, mult = _multiplicities(graph)
+    factors = []
+    for i, (v, f) in enumerate(graph.vertices):
+        row = [weight(f, 1) + weight(beta, loops[i]), weight(gamma, loops[i])]
+        if v in pins:
+            row[1 - pins[v]] = -math.inf
+        factors.append(((i,), np.array(row, dtype=float)))
+    for (i, j), k in mult.items():
+        table = [[weight(beta, k), 0.0], [0.0, weight(gamma, k)]]
+        factors.append(((i, j), np.array(table, dtype=float)))
+    return float(_eliminate(factors, graph.n, 0.0, np.add, np.logaddexp))
+
+
+def _radicand(values) -> int:
+    """The one m of the Quads among values that have a sqrt part; 1 if none."""
+    found = list(dict.fromkeys(x.m for x in values if isinstance(x, Quad) and x.b))
+    if len(found) > 1:
+        raise ValueError(f"incompatible radicands sqrt({found[0]}) vs sqrt({found[1]})")
+    return found[0] if found else 1
+
+
+def _lift(x, m: int):
+    """x = (a + b*sqrt(m)) / d as (block, d) with integers a, b, d.
+
+    The block is [[a, m*b], [b, a]], the matrix of multiplication by
+    a + b*sqrt(m) on the basis (1, sqrt(m)), or [[a]] when m == 1: products
+    of numbers are matrix products of their blocks, and sums are sums.
+    """
+    import numpy as np
+
+    a, b = (x.a, x.b) if isinstance(x, Quad) else (Fraction(x), 0)
+    d = math.lcm(a.denominator, b.denominator)
+    a, b = a.numerator * d // a.denominator, b.numerator * d // b.denominator
+    return np.array([[a, m * b], [b, a]] if m > 1 else [[a]], dtype=object), d
 
 
 def _partition_exact(graph: FieldedGraph, params: SpinParams,
                      pins: PinAssignment):
-    """Z in the input number type, with no rounding."""
-    return _eliminate(graph, params, pins, exact=True)
+    """Z in the input number type, with no rounding.
+
+    Fraction-free elimination: beta, gamma and every field are lifted once
+    to an integer block over an integer denominator (`_lift`), each factor
+    table is built from integer blocks with its denominator multiplied into
+    one D, and Z is the last block over D, reduced once.  With beta = B/db
+    and gamma = G/dg, every edge table times db*dg has the integer entries
+    B*dg, db*dg and G*db, and a vertex row [f, 1] times f's denominator df
+    is [F, df]; so D = (prod of df) * (db*dg)**(number of edges).  The
+    result is a Quad when a Quad enters a table (as with Quad arithmetic),
+    else a Fraction.
+    """
+    import numpy as np
+
+    beta, gamma = params.beta, params.gamma
+    m = _radicand([beta, gamma] + [f for _, f in graph.vertices])
+    (B, db), (G, dg) = _lift(beta, m), _lift(gamma, m)
+    unit = np.identity(len(B), dtype=object)
+    loops, mult = _multiplicities(graph)
+    # the edge weights beta, 1, gamma times db*dg, to the power of each
+    # self-loop count and edge multiplicity
+    weights = {k: [np.linalg.matrix_power(x, k) for x in (B * dg, unit * (db * dg), G * db)]
+               for k in {*loops, *mult.values()}}
+    factors = []
+    denominator = (db * dg) ** len(graph.edges)
+    for i, (v, f) in enumerate(graph.vertices):
+        F, df = _lift(f, m)
+        denominator *= df
+        beta_k, _, gamma_k = weights[loops[i]]
+        row = [F @ beta_k, df * gamma_k]
+        if v in pins:
+            row[1 - pins[v]] = 0 * unit
+        factors.append(((i,), np.array(row, dtype=object)))
+    for (i, j), k in mult.items():
+        beta_k, mixed_k, gamma_k = weights[k]
+        table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
+        factors.append(((i, j), np.array(table, dtype=object)))
+    z = _eliminate(factors, graph.n, unit, np.matmul, np.add)
+
+    # the inputs in some table: a field and beta unless pinned to 1, gamma
+    # unless pinned to 0, and both wherever an edge joins two vertices
+    entered = [x for v, f in graph.vertices
+               for x, s in ((f, 0), (beta, 0), (gamma, 1)) if pins.get(v, s) == s]
+    entered += [beta, gamma] if mult else []
+    a = Fraction(z[0, 0], denominator)
+    if any(isinstance(x, Quad) for x in entered):
+        return Quad(a, Fraction(z[1, 0], denominator) if m > 1 else 0, m)
+    return a
 
 
 def _exp(log_value: float, what: str) -> float:

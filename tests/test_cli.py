@@ -105,6 +105,23 @@ def test_eval_float_overflow_is_a_numeric_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"numeric error: Z = exp({log_z!r}) overflows a float\n"
 
+    # rational mode: an exact value is finite, its float is not
+    k2 = dict(K2_DOC, vertices=[{"id": "u", "field": 1e200}, {"id": "v", "field": 1e200}])
+    path3 = dict(PATH_DOC, vertices=[{"id": v, "field": 1e300} for v in "uvw"])
+    for doc, argv, quantity in [
+            (k2, ["eval"], "Z"),
+            (path3, ["reduce", "--kind", "contract"], "scale"),
+            (K2_DOC, ["reduce", "--kind", "bipartite", "--mu-prime", "1e400", "--no-verify"],
+             "a vertex field")]:
+        path = write_doc(tmp_path, doc)
+        proc = subprocess.run([sys.executable, "-m", "twospin", *argv, "--input", path,
+                               "--mode", "rational"],
+                              capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr == f"numeric error: {quantity} overflows a float\n"
+        assert "Traceback" not in proc.stderr
+
 
 def test_fixpoint(capsys):
     code, out = run(capsys, ["fixpoint", "--beta", "1", "--gamma", "2",

@@ -35,16 +35,21 @@ def test_partition_matches_brute_force_on_random_graphs():
     # either drawn over a random prefix of the vertices (one large component
     # with cycles, untouched vertices isolated) or split into two components
     # plus an isolated vertex; pins; beta or gamma zero, so Z may be 0;
-    # float, Fraction and Quad weights
+    # float, Fraction and Quad weights, and Fractions over large pairwise
+    # coprime denominators (primes near 10^9) whose cleared integers are long,
+    # with Quad beta and gamma (sqrt(2) parts) on every other such case
     rng = random.Random(1234)
+    primes = [999999937, 999999929, 999999893, 999999883, 1000000007, 1000000009]
     numbers = {  # a number in [lo/10, hi/10], plus up to sqrt(2) for Quad
         "float": lambda lo, hi: rng.uniform(lo, hi) / 10,
         "fraction": lambda lo, hi: Fraction(rng.randint(lo, hi), 10),
         "quad": lambda lo, hi: Quad(Fraction(rng.randint(lo, hi), 10),
                                     Fraction(rng.randint(0, 10), 10), 2),
+        "coprime": lambda lo, hi: Fraction(rng.randint(lo, hi) * rng.choice(primes) // 10,
+                                           rng.choice(primes)),
     }
-    for case in range(120):
-        kind = ("float", "fraction", "quad")[case % 3]
+    for case in range(160):
+        kind = ("float", "fraction", "quad", "coprime")[case % 4]
         num = numbers[kind]
         n = rng.randint(1, 10)
         ids = [f"v{i}" for i in range(n)]
@@ -59,6 +64,8 @@ def test_partition_matches_brute_force_on_random_graphs():
         edges += edges[:rng.randint(0, 3)]
         beta = num(1, 25) if case % 5 else 0 * num(1, 1)
         gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
+        if kind == "coprime" and case // 4 % 2:
+            beta, gamma = (Quad(x, num(0, 10), 2) for x in (beta, gamma))
         pins = {v: rng.randint(0, 1) for v in rng.sample(ids, rng.randint(0, min(2, n)))}
         g = FieldedGraph(fields, edges)
         p = SpinParams(beta, gamma, 1)
@@ -68,7 +75,8 @@ def test_partition_matches_brute_force_on_random_graphs():
             assert z == pytest.approx(want, rel=1e-12)
         else:
             assert z == want
-            assert kind == "quad" or isinstance(z, Fraction)
+            quad = any(isinstance(x, Quad) for x in (beta, gamma, *fields.values()))
+            assert type(z) is (Quad if quad else Fraction)
 
 
 def test_float_path_keeps_log_range():
@@ -112,6 +120,16 @@ def test_exact_mode_returns_fractions():
     z = partition_function(g, SpinParams(Fraction(1), Fraction(2), Fraction(2)))
     assert z == Fraction(10)
     assert isinstance(z, Fraction)
+
+
+def test_mixed_radicands_are_rejected():
+    # sqrt(2) and sqrt(3) share no field Q(sqrt(m)): no exact Z to return
+    sqrt2, sqrt3 = Quad(0, 1, 2), Quad(0, 1, 3)
+    rational = SpinParams(Fraction(2), Fraction(3), 1)
+    for g, p in [(FieldedGraph({"u": sqrt2, "v": sqrt3}, [("u", "v")]), rational),
+                 (FieldedGraph({"u": sqrt3}, [("u", "u")]), SpinParams(sqrt2, Fraction(3), 1))]:
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            partition_function(g, p)
 
 
 def test_pinned_partition_examples():
