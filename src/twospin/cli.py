@@ -297,7 +297,7 @@ _D = {"type": int, "required": True}
 _MODE = {"choices": ["float", "rational"], "default": "float",
          "help": "rational mode evaluates exactly (Fraction/Quad)"}
 _ENUM_LIMIT = {"type": int, "default": ENUM_LIMIT,
-               "help": "max vertices for exhaustive evaluation"}
+               "help": "max vertices one elimination bucket may span"}
 _OUTPUT = {"help": "also write the result to this file"}
 
 COMMANDS = {

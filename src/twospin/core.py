@@ -16,11 +16,11 @@ number of Q(sqrt(m)) as a 2x2 integer block), and Z is that one integer
 over the denominator, reduced once, so identities can be verified with no
 rounding and with no Fraction or Quad arithmetic inside the engine; when
 any of them is a float, every weight goes to a log table (the float range
-never limits log Z).  A graph of induced width w (under the min-degree
-order) costs O(n * 2^(w+1)) time and 2^(w+1) table entries on either path;
-graphs of more than the enumeration limit (default 24) vertices are
-refused whatever their width.  The engine's tables are numpy arrays; numpy
-is imported by the engine on its first call, not by this module.
+never limits log Z).  The min-degree order is planned on the graph alone,
+and eliminating v spans v and its neighbours rest: O(n log n + sum of
+2^(|rest|+1)) on either path.  A graph whose buckets span more than the
+limit (default 24) vertices, w + 1 > limit at width w, is refused before any
+table is built.  The tables are numpy arrays; the engine imports numpy.
 """
 
 from __future__ import annotations
@@ -133,12 +133,8 @@ class FieldedGraph:
         return FieldedGraph(new, self.edges, self.output)
 
 
-def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment,
-               limit: int) -> bool:
-    """Validate the inputs; True when beta, gamma and every field are exact."""
-    if graph.n > limit:
-        raise CapacityError(
-            f"graph has {graph.n} vertices, enumeration limit is {limit}")
+def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment) -> bool:
+    """Validate the pins; True when beta, gamma and every field are exact."""
     for v, s in pins.items():
         if v not in graph.field_map:
             raise DomainError(f"pinned vertex {v!r} is not in the graph")
@@ -161,27 +157,15 @@ def _multiplicities(graph: FieldedGraph):
     return loops, mult
 
 
-def _eliminate(factors: list, n: int, unit, mul, add):
-    """Contract the factor tables over vertices 0..n-1 by variable elimination.
+def _plan(factors: list, n: int, limit: int) -> list:
+    """Min-degree order from the factor scopes alone: one (v, rest) per step.
 
-    A factor is (scope, table): one table axis of size 2 per vertex of the
-    scope, followed by the block axes that ``unit`` has (none on the float
-    path).  Vertices go by least current degree, ties by position;
-    eliminating v multiplies the factors on v, restricted to v = 0 and to
-    v = 1, into one table each over v's neighbours and adds the two, so no
-    new table spans v itself.  numpy is imported here, on the first
-    evaluation, so that importing the package stays cheap.
+    Least current degree goes first, ties by position (a lazy heap of
+    (degree, position) entries; stale ones are skipped).  v's bucket spans v
+    and its sorted neighbours ``rest``, so a width w = max |rest| with
+    w + 1 > limit raises CapacityError before any table is built.
     """
-    import numpy as np
-
-    block = np.shape(unit)
-
-    def product(parts, s, shape):
-        """Product of a bucket's tables at spin s of the eliminated vertex."""
-        out = np.broadcast_to(parts[0][s, ...], shape).copy()
-        for t in parts[1:]:
-            mul(out, t[s, ...], out=out)
-        return out
+    import heapq
 
     adj = [set() for _ in range(n)]
     for scope, _ in factors:
@@ -189,32 +173,64 @@ def _eliminate(factors: list, n: int, unit, mul, add):
             i, j = scope
             adj[i].add(j)
             adj[j].add(i)
-    z = unit
-    remaining = set(range(n))
-    while remaining:
-        v = min(remaining, key=lambda i: (len(adj[i]), i))
-        remaining.remove(v)
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        rest = sorted(adj[v])
-        shape = (2,) * len(rest) + block
-        parts = [np.moveaxis(t, scope.index(v), 0).reshape(
-            [2] + [2 if x in scope else 1 for x in rest] + list(block))
-            for scope, t in bucket]
-        msg = product(parts, 0, shape)
-        add(msg, product(parts, 1, shape), out=msg)
-        if rest:
-            factors.append((tuple(rest), msg))
-        else:
-            z = mul(z, msg[()])
+    heap = sorted((len(a), i) for i, a in enumerate(adj))
+    steps, done = [], [False] * n
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if done[v] or degree != len(adj[v]):
+            continue
+        done[v] = True
+        steps.append((v, sorted(adj[v])))
         for a in adj[v]:
             adj[a] |= adj[v]
             adj[a] -= {a, v}
+            heapq.heappush(heap, (len(adj[a]), a))
+    span = max((len(rest) + 1 for _, rest in steps), default=0)
+    if span > limit:
+        raise CapacityError(f"elimination width {span - 1} needs buckets of {span} "
+                            f"vertices, enumeration limit is {limit}")
+    return steps
+
+
+def _eliminate(factors: list, n: int, unit, mul, add, limit: int):
+    """Contract the factor tables over vertices 0..n-1 by variable elimination.
+
+    A factor is (scope, table): one table axis of size 2 per vertex of the
+    sorted scope, then the block axes that ``unit`` has (none on the float
+    path).  Eliminating v folds its live factors, in creation order and
+    reshaped onto the sorted {v} | rest, left to right with ``mul``, and adds
+    the v = 0 and v = 1 halves.  numpy is imported here, on the first
+    evaluation, so that importing the package stays cheap.
+    """
+    import numpy as np
+
+    block = list(np.shape(unit))
+    index = [[] for _ in range(n)]  # ids of the factors on each vertex
+    for k, (scope, _) in enumerate(factors):
+        for x in scope:
+            index[x].append(k)
+    z = unit
+    for v, rest in _plan(factors, n, limit):
+        axes = sorted([v, *rest])
+        out = None
+        for k in index[v]:
+            if factors[k] is not None:
+                (scope, t), factors[k] = factors[k], None
+                t = t.reshape([2 if x in scope else 1 for x in axes] + block)
+                out = t if out is None else mul(out, t)
+        at = (slice(None),) * axes.index(v)
+        msg = add(out[at + (0,)], out[at + (1,)])
+        if rest:
+            for x in rest:
+                index[x].append(len(factors))
+            factors.append((tuple(rest), msg))
+        else:
+            z = mul(z, msg[()])
     return z
 
 
 def _log_partition_float(graph: FieldedGraph, params: SpinParams,
-                         pins: PinAssignment) -> float:
+                         pins: PinAssignment, *, limit: int = ENUM_LIMIT) -> float:
     """log Z on the float path; -inf when Z == 0.
 
     Tables hold logs, so the product is a sum and the sum a log-sum-exp, and
@@ -237,7 +253,7 @@ def _log_partition_float(graph: FieldedGraph, params: SpinParams,
     for (i, j), k in mult.items():
         table = [[weight(beta, k), 0.0], [0.0, weight(gamma, k)]]
         factors.append(((i, j), np.array(table, dtype=float)))
-    return float(_eliminate(factors, graph.n, 0.0, np.add, np.logaddexp))
+    return float(_eliminate(factors, graph.n, 0.0, np.add, np.logaddexp, limit))
 
 
 def _radicand(values) -> int:
@@ -264,7 +280,7 @@ def _lift(x, m: int):
 
 
 def _partition_exact(graph: FieldedGraph, params: SpinParams,
-                     pins: PinAssignment):
+                     pins: PinAssignment, *, limit: int = ENUM_LIMIT):
     """Z in the input number type, with no rounding.
 
     Fraction-free elimination: beta, gamma and every field are lifted once
@@ -302,7 +318,7 @@ def _partition_exact(graph: FieldedGraph, params: SpinParams,
         beta_k, mixed_k, gamma_k = weights[k]
         table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
         factors.append(((i, j), np.array(table, dtype=object)))
-    z = _eliminate(factors, graph.n, unit, np.matmul, np.add)
+    z = _eliminate(factors, graph.n, unit, np.matmul, np.add, limit)
 
     # the inputs in some table: a field and beta unless pinned to 1, gamma
     # unless pinned to 0, and both wherever an edge joins two vertices
@@ -336,9 +352,9 @@ def partition_function(graph: FieldedGraph, params: SpinParams, *,
 def pinned_partition(graph: FieldedGraph, params: SpinParams,
                      pins: PinAssignment, *, limit: int = ENUM_LIMIT):
     """Partition function restricted to configurations agreeing with pins."""
-    if _pick_path(graph, params, pins, limit):
-        return _partition_exact(graph, params, pins)
-    return _exp(_log_partition_float(graph, params, pins), "Z")
+    if _pick_path(graph, params, pins):
+        return _partition_exact(graph, params, pins, limit=limit)
+    return _exp(_log_partition_float(graph, params, pins, limit=limit), "Z")
 
 
 def effective_field(graph: FieldedGraph, params: SpinParams, *,
@@ -347,12 +363,12 @@ def effective_field(graph: FieldedGraph, params: SpinParams, *,
     if graph.output is None:
         raise DomainError("graph has no output vertex")
     pins = {graph.output: 0}, {graph.output: 1}
-    if _pick_path(graph, params, pins[0], limit):
-        z0, z1 = (_partition_exact(graph, params, p) for p in pins)
+    if _pick_path(graph, params, pins[0]):
+        z0, z1 = (_partition_exact(graph, params, p, limit=limit) for p in pins)
         if z1 != 0:
             return z0 / z1
     else:
-        l0, l1 = (_log_partition_float(graph, params, p) for p in pins)
+        l0, l1 = (_log_partition_float(graph, params, p, limit=limit) for p in pins)
         if l1 != -math.inf:
             return _exp(l0 - l1, "Z(output=0)/Z(output=1)")
     raise DomainError("conditioned partition function Z(output=1) is zero")

@@ -77,11 +77,20 @@ def test_eval_reports_effective_field(tmp_path, capsys):
 
 
 def test_eval_capacity_exit_code(tmp_path, capsys):
-    doc = {"beta": 1, "gamma": 2,
-           "vertices": [{"id": f"v{i}", "field": 1} for i in range(30)],
-           "edges": [], "output": None}
+    # K12 has width 11, so its buckets span 12 vertices, above --enum-limit 8
+    ids = [f"v{i}" for i in range(12)]
+    doc = {"beta": 1, "gamma": 2, "vertices": [{"id": v, "field": 1} for v in ids],
+           "edges": [[u, v] for i, u in enumerate(ids) for v in ids[:i]], "output": None}
     path = write_doc(tmp_path, doc)
-    assert run(capsys, ["eval", "--input", path])[0] == 3
+    assert main(["eval", "--input", path, "--enum-limit", "8"]) == 3
+    assert capsys.readouterr().err == ("capacity error: elimination width 11 needs buckets "
+                                       "of 12 vertices, enumeration limit is 8\n")
+    # 30 isolated vertices have width 0 and evaluate at the default limit
+    isolated = write_doc(tmp_path, dict(doc, edges=[], vertices=[
+        {"id": f"v{i}", "field": 1} for i in range(30)]), name="isolated.json")
+    code, out = run(capsys, ["eval", "--input", isolated])
+    assert code == 0
+    assert json.loads(out)["Z"] == pytest.approx(2.0 ** 30, rel=1e-12)
 
 
 def test_eval_domain_exit_code(tmp_path, capsys):

@@ -196,12 +196,122 @@ def test_effective_field_requires_output():
         effective_field(g, P12)
 
 
-def test_capacity_limit():
-    g = FieldedGraph({f"v{i}": 1.0 for i in range(25)}, [])
+def test_capacity_limit(monkeypatch):
+    # K12 has width 11: its first bucket spans all 12 vertices.  The plan
+    # must refuse it at limit 8 before any bucket table is built; here a plan
+    # that returns fails the test, so the numeric pass never starts.  K8
+    # (buckets of 8 vertices) still runs at limit 8.
+    plan = core._plan
+
+    def plan_only(*args):
+        plan(*args)
+        raise AssertionError("the plan passed; a bucket table would be built")
+
+    k12 = FieldedGraph({f"v{i}": 2.0 for i in range(12)},
+                       [(f"v{i}", f"v{j}") for i in range(12) for j in range(i)], output="v0")
+    with monkeypatch.context() as m:
+        m.setattr(core, "_plan", plan_only)
+        for graph, params in ((k12, P12), (k12.with_fields({v: Fraction(2) for v in k12.field_map}),
+                                            SpinParams(Fraction(1), Fraction(2), 1))):
+            for evaluate in (partition_function, effective_field):
+                with pytest.raises(CapacityError, match=r"width 11 .* limit is 8$"):
+                    evaluate(graph, params, limit=8)
+    k8 = FieldedGraph({f"v{i}": 2.0 for i in range(8)},
+                      [(f"v{i}", f"v{j}") for i in range(8) for j in range(i)])
+    assert partition_function(k8, P12, limit=8) == pytest.approx(
+        brute_z(*graph_tuple(k8), 1.0, 2.0), rel=1e-12)
     with pytest.raises(CapacityError):
-        partition_function(g, P12)
-    # override works
-    assert partition_function(g, P12, limit=25) == pytest.approx(2.0 ** 25, rel=1e-11)
+        partition_function(k8, P12, limit=7)
+    # isolated vertices have width 0, so any number of them evaluates; the
+    # empty graph has no bucket at all
+    isolated = FieldedGraph({f"v{i}": 1.0 for i in range(25)}, [])
+    assert partition_function(isolated, P12) == pytest.approx(2.0 ** 25, rel=1e-11)
+    assert partition_function(isolated, P12, limit=1) == pytest.approx(2.0 ** 25, rel=1e-11)
+    assert partition_function(FieldedGraph({}, []), P12, limit=0) == 1.0
+
+
+def _reference_eliminate(factors: list, n: int, unit, mul, add, limit: int):
+    """The elimination engine as first written, kept as a bit-for-bit reference.
+
+    A min() scan picks each vertex (least degree, then position), the bucket
+    is every factor on it in list order, and both halves of the product are
+    broadcast to the full table over the neighbours before multiplying.
+    ``limit`` is not checked.
+    """
+    import numpy as np
+
+    block = np.shape(unit)
+
+    def product(parts, s, shape):
+        out = np.broadcast_to(parts[0][s, ...], shape).copy()
+        for t in parts[1:]:
+            mul(out, t[s, ...], out=out)
+        return out
+
+    adj = [set() for _ in range(n)]
+    for scope, _ in factors:
+        if len(scope) == 2:
+            i, j = scope
+            adj[i].add(j)
+            adj[j].add(i)
+    z = unit
+    remaining = set(range(n))
+    while remaining:
+        v = min(remaining, key=lambda i: (len(adj[i]), i))
+        remaining.remove(v)
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        rest = sorted(adj[v])
+        shape = (2,) * len(rest) + block
+        parts = [np.moveaxis(t, scope.index(v), 0).reshape(
+            [2] + [2 if x in scope else 1 for x in rest] + list(block))
+            for scope, t in bucket]
+        msg = product(parts, 0, shape)
+        add(msg, product(parts, 1, shape), out=msg)
+        if rest:
+            factors.append((tuple(rest), msg))
+        else:
+            z = mul(z, msg[()])
+        for a in adj[v]:
+            adj[a] |= adj[v]
+            adj[a] -= {a, v}
+    return z
+
+
+def test_bucket_engine_matches_reference_bit_for_bit(monkeypatch):
+    # seeded multigraphs of up to 13 vertices with self-loops, parallel
+    # edges, pins and zero weights; float log Z must be the same float and
+    # exact Z the same number as with the reference engine
+    rng = random.Random(31)
+    numbers = {
+        "float": lambda lo, hi: rng.uniform(lo, hi) / 10,
+        "fraction": lambda lo, hi: Fraction(rng.randint(lo, hi), 10),
+        "quad": lambda lo, hi: Quad(Fraction(rng.randint(lo, hi), 10),
+                                    Fraction(rng.randint(0, 10), 10), 2),
+    }
+    cases = []
+    for case in range(150):
+        kind = ("float", "float", "fraction", "quad")[case % 4]
+        num = numbers[kind]
+        n = rng.randint(1, 13)
+        ids = [f"v{i}" for i in range(n)]
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3 * n))]
+        edges += edges[:rng.randint(0, 3)]
+        beta = num(1, 25) if case % 5 else 0 * num(1, 1)
+        gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
+        pins = {v: rng.randint(0, 1) for v in rng.sample(ids, rng.randint(0, min(2, n)))}
+        cases.append((FieldedGraph({v: num(2, 40) for v in ids}, edges),
+                      SpinParams(beta, gamma, 1), pins, kind == "float"))
+
+    def evaluate():
+        return [core._log_partition_float(g, p, pins) if is_float
+                else pinned_partition(g, p, pins) for g, p, pins, is_float in cases]
+
+    got = evaluate()
+    monkeypatch.setattr(core, "_eliminate", _reference_eliminate)
+    want = evaluate()
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert got == want
 
 
 def test_validation_errors():

@@ -122,6 +122,23 @@ def test_peeling_large_materialised_trees_gives_gadget_field():
                                                             rel=1e-12)
 
 
+def test_float_elimination_on_a_large_materialised_tree():
+    # width 1, so 32,767 vertices run at the default limit; log Z(output=1)
+    # is about 10^5, and its ulp (1.5e-11) bounds how closely a log table
+    # resolves the ratio
+    tree = DaryTree(2, 14)
+    graph = materialize(tree, P)
+    assert effective_field(graph, P) == pytest.approx(gadget_field(tree, P), rel=1e-10)
+
+
+def test_exact_elimination_on_a_large_materialised_gadget():
+    pe = SpinParams(Fraction(4, 5), Fraction(2), Fraction(40))
+    gadget = comb([DaryTree(2, 8), DaryTree(3, 5), Star(7)])
+    graph = materialize(gadget, pe)
+    assert graph.n == 1 + 511 + 364 + 8
+    assert effective_field(graph, pe) == gadget_field(gadget, pe)
+
+
 def test_star_convergence_decreasing_and_bounded():
     p = SpinParams(0.8, 2.0, 20.0)
     rows = star_convergence(p, 20)

@@ -457,8 +457,13 @@ def test_corrupted_scale_fails_verification():
 
 
 def test_verify_respects_enum_limit():
-    from twospin import CapacityError
-    big = FieldedGraph({f"v{i}": 1.0 for i in range(30)}, [])
-    cert = contract_certificate(big, P_C)
-    with pytest.raises(CapacityError):
-        verify_reduction(cert)
+    # K12 (width 11) peels to itself and is refused at limit 8; 30 isolated
+    # vertices have width 0 and verify at the default limit
+    k12 = FieldedGraph({f"v{i}": 1.0 for i in range(12)},
+                       [(f"v{i}", f"v{j}") for i in range(12) for j in range(i)])
+    cert = contract_certificate(k12, P_C)
+    with pytest.raises(CapacityError, match="width 11"):
+        verify_reduction(cert, limit=8)
+    assert verify_reduction(cert, limit=12).verified
+    isolated = FieldedGraph({f"v{i}": 1.0 for i in range(30)}, [])
+    assert verify_reduction(contract_certificate(isolated, P_C)).verified
