@@ -3,8 +3,7 @@ with certified error bounds, and partition-function-preserving reductions."""
 
 from .construct import ConstructReport, certify, construct, error_bound
 from .core import (ENUM_LIMIT, FieldedGraph, SpinParams, effective_field,
-                   graph_from_json, graph_to_json, partition_function,
-                   pinned_partition)
+                   graph_from_json, graph_to_json, partition_function)
 from .errors import CapacityError, DomainError, InvariantViolation, NumericError
 from .exact import Quad, half_power, is_exact, sqrt_fraction
 from .gadgets import (Comb, DaryTree, GadgetTree, Star, comb, gadget_field,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     # exact evaluation
     "ENUM_LIMIT", "FieldedGraph", "SpinParams", "effective_field",
-    "graph_from_json", "graph_to_json", "partition_function", "pinned_partition",
+    "graph_from_json", "graph_to_json", "partition_function",
     "Quad", "half_power", "is_exact", "sqrt_fraction",
     # gadget algebra and construction
     "DecayConstants", "HardnessThresholds", "RecursionParams",

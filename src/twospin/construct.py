@@ -36,26 +36,14 @@ from .recursion import (DecayConstants, RecursionParams, construction_field_boun
 _REL_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class LevelState:
-    """Snapshot of the residual target before branch i is chosen."""
-    rp: RecursionParams
-    mu_star: float
-    i: int
-    mu_i: float
-
-
-def check_invariant(state: LevelState) -> bool:
-    """Whether mu * edge_ratio(x)**(d-i+1) = mu_i has a root in (0, mu_star].
-
-    Equivalent sign-change form: mu*(1/gamma)**(d-i+1) < mu_i and
-    mu_i <= mu*edge_ratio(mu_star)**(d-i+1) (open below, closed above).
+def _residual_window(rp: RecursionParams, mu_star: float, i: int) -> tuple[float, float]:
+    """(lo, hi): mu * edge_ratio(x)**(d-i+1) = mu_i has a root x in (0, mu_star]
+    exactly when lo < mu_i <= hi (open below, closed above), where
+    lo = mu*(1/gamma)**(d-i+1) and hi = mu*edge_ratio(mu_star)**(d-i+1).
     """
-    p = state.rp.params
-    k = state.rp.d - state.i + 1
-    lo = p.mu * edge_ratio(0, p) ** k
-    hi = p.mu * edge_ratio(state.mu_star, p) ** k
-    return lo < state.mu_i <= hi
+    p = rp.params
+    k = rp.d - i + 1
+    return p.mu * edge_ratio(0, p) ** k, p.mu * edge_ratio(mu_star, p) ** k
 
 
 @dataclass(frozen=True)
@@ -157,25 +145,6 @@ def _cutoff_star_w(delta: float, rp: RecursionParams) -> int:
     return w
 
 
-def _checked_residual(value: float, state: LevelState, where: str) -> float:
-    """Assert the loop invariant, absorbing float drift at the closed end."""
-    p = state.rp.params
-    k = state.rp.d - state.i + 1
-    hi = p.mu * edge_ratio(state.mu_star, p) ** k
-    if value > hi:
-        if value <= hi * (1 + _REL_SLACK):
-            value = hi
-        else:
-            raise InvariantViolation(
-                f"{where}: residual {value} exceeds mu*edge_ratio(mu_star)**{k} = {hi}")
-    probe = LevelState(state.rp, state.mu_star, state.i, value)
-    if not check_invariant(probe):
-        lo = p.mu * edge_ratio(0, p) ** k
-        raise InvariantViolation(
-            f"{where}: residual {value} left the solvable window ({lo}, {hi}]")
-    return value
-
-
 def _construct(ell: int, target: float, rp: RecursionParams,
                C: DecayConstants) -> tuple[GadgetTree, list]:
     p = rp.params
@@ -194,13 +163,22 @@ def _construct(ell: int, target: float, rp: RecursionParams,
     k = max(0, _power_bracket(C.mu_star, hmu, target))
     singletons = [Star(0)] * k
     mu_i = target / hmu ** k
-    mu_i = _checked_residual(mu_i, LevelState(rp, C.mu_star, 1, mu_i), f"level ell={ell} init")
 
-    mu_values = [mu_i]
+    mu_values = []
     branches = []
     h_star = edge_ratio(C.mu_star, p)
     h_zero = edge_ratio(0, p)
-    for i in range(1, rp.d):
+    for i in range(1, rp.d + 1):
+        # the loop invariant, absorbing float drift at the closed end
+        lo, hi = _residual_window(rp, C.mu_star, i)
+        if hi < mu_i <= hi * (1 + _REL_SLACK):
+            mu_i = hi
+        if not lo < mu_i <= hi:
+            raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
+                                     f"left the solvable window ({lo}, {hi}]")
+        mu_values.append(mu_i)
+        if i == rp.d:
+            break
         if mu * h_star * h_zero ** (rp.d - i) >= mu_i:
             y = 0.0
             child = Star(_branch_star_w(ell, rp, C))
@@ -209,9 +187,6 @@ def _construct(ell: int, target: float, rp: RecursionParams,
             child = DaryTree(rp.d, _branch_tree_t(ell, rp, C))
         branches.append(BranchChoice(i=i, y=y, gadget=child))
         mu_i = mu_i / (h_zero if y == 0.0 else h_star)
-        mu_i = _checked_residual(mu_i, LevelState(rp, C.mu_star, i + 1, mu_i),
-                                 f"level ell={ell} step i={i}")
-        mu_values.append(mu_i)
 
     ratio = mu_i / mu
     mu_hat_prime = invert_edge_ratio(ratio, p)

@@ -20,7 +20,10 @@ never limits log Z).  The min-degree order is planned on the graph alone,
 and eliminating v spans v and its neighbours rest: O(n log n + sum of
 2^(|rest|+1)) on either path.  A graph whose buckets span more than the
 limit (default 24) vertices, w + 1 > limit at width w, is refused before any
-table is built.  The tables are numpy arrays; the engine imports numpy.
+table is built.  The effective field is one elimination that keeps the
+output (never eliminates it, so it counts in its neighbours' buckets) and
+ends with its table (Z(output=0), Z(output=1)).  The tables are numpy
+arrays; the engine imports numpy.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ from .errors import CapacityError, DomainError, NumericError
 from .exact import Quad, is_exact
 
 ENUM_LIMIT = 24
-
-#: Partial spin assignment: vertex id -> spin in {0, 1}.
-PinAssignment = Mapping[str, int]
 
 
 def _positive(x) -> bool:
@@ -133,16 +133,6 @@ class FieldedGraph:
         return FieldedGraph(new, self.edges, self.output)
 
 
-def _pick_path(graph: FieldedGraph, params: SpinParams, pins: PinAssignment) -> bool:
-    """Validate the pins; True when beta, gamma and every field are exact."""
-    for v, s in pins.items():
-        if v not in graph.field_map:
-            raise DomainError(f"pinned vertex {v!r} is not in the graph")
-        if s not in (0, 1):
-            raise DomainError(f"pin for {v!r} must be 0 or 1, got {s!r}")
-    return is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices))
-
-
 def _multiplicities(graph: FieldedGraph):
     """Self-loops per vertex position, and parallel edges per position pair i < j."""
     pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
@@ -157,13 +147,15 @@ def _multiplicities(graph: FieldedGraph):
     return loops, mult
 
 
-def _plan(factors: list, n: int, limit: int) -> list:
+def _plan(factors: list, n: int, keep: tuple, limit: int) -> list:
     """Min-degree order from the factor scopes alone: one (v, rest) per step.
 
     Least current degree goes first, ties by position (a lazy heap of
-    (degree, position) entries; stale ones are skipped).  v's bucket spans v
-    and its sorted neighbours ``rest``, so a width w = max |rest| with
-    w + 1 > limit raises CapacityError before any table is built.
+    (degree, position) entries; stale ones are skipped).  The positions in
+    ``keep`` count as done from the start, so they are never eliminated but
+    stay in the ``rest`` of their neighbours.  v's bucket spans v and its
+    sorted neighbours ``rest``, so a width w = max |rest| with w + 1 > limit
+    raises CapacityError before any table is built.
     """
     import heapq
 
@@ -174,7 +166,7 @@ def _plan(factors: list, n: int, limit: int) -> list:
             adj[i].add(j)
             adj[j].add(i)
     heap = sorted((len(a), i) for i, a in enumerate(adj))
-    steps, done = [], [False] * n
+    steps, done = [], [i in keep for i in range(n)]
     while heap:
         degree, v = heapq.heappop(heap)
         if done[v] or degree != len(adj[v]):
@@ -192,15 +184,18 @@ def _plan(factors: list, n: int, limit: int) -> list:
     return steps
 
 
-def _eliminate(factors: list, n: int, unit, mul, add, limit: int):
-    """Contract the factor tables over vertices 0..n-1 by variable elimination.
+def _eliminate(factors: list, n: int, keep: tuple, unit, mul, add, limit: int):
+    """Contract the factor tables over every vertex position not in ``keep``.
 
     A factor is (scope, table): one table axis of size 2 per vertex of the
     sorted scope, then the block axes that ``unit`` has (none on the float
     path).  Eliminating v folds its live factors, in creation order and
-    reshaped onto the sorted {v} | rest, left to right with ``mul``, and adds
-    the v = 0 and v = 1 halves.  numpy is imported here, on the first
-    evaluation, so that importing the package stays cheap.
+    reshaped onto the sorted {v} | rest, left to right with ``mul``, and
+    adds the v = 0 and v = 1 halves.  The factors left at the end lie on
+    kept positions and fold the same way into the result: Z when ``keep``
+    is empty, else one table axis per kept position, in sorted order.  numpy
+    is imported here, on the first evaluation, so that importing the
+    package stays cheap.
     """
     import numpy as np
 
@@ -209,32 +204,39 @@ def _eliminate(factors: list, n: int, unit, mul, add, limit: int):
     for k, (scope, _) in enumerate(factors):
         for x in scope:
             index[x].append(k)
-    z = unit
-    for v, rest in _plan(factors, n, limit):
-        axes = sorted([v, *rest])
+
+    def fold(ids, axes):
         out = None
-        for k in index[v]:
+        for k in ids:
             if factors[k] is not None:
                 (scope, t), factors[k] = factors[k], None
                 t = t.reshape([2 if x in scope else 1 for x in axes] + block)
                 out = t if out is None else mul(out, t)
+        return out
+
+    z = unit
+    for v, rest in _plan(factors, n, keep, limit):
+        axes = sorted([v, *rest])
+        out = fold(index[v], axes)
         at = (slice(None),) * axes.index(v)
         msg = add(out[at + (0,)], out[at + (1,)])
+        del out  # the next bucket's fold must not run beside this table
         if rest:
             for x in rest:
                 index[x].append(len(factors))
             factors.append((tuple(rest), msg))
         else:
             z = mul(z, msg[()])
-    return z
+    return mul(z, fold(range(len(factors)), sorted(keep))) if keep else z
 
 
 def _log_partition_float(graph: FieldedGraph, params: SpinParams,
-                         pins: PinAssignment, *, limit: int = ENUM_LIMIT) -> float:
-    """log Z on the float path; -inf when Z == 0.
+                         keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
+    """log Z(kept spins = s) for each s in binary order on the float path.
 
-    Tables hold logs, so the product is a sum and the sum a log-sum-exp, and
-    no entry leaves the float range.
+    One value, log Z, when ``keep`` is empty; -inf where that Z is 0.  Tables
+    hold logs, so the product is a sum and the sum a log-sum-exp, and no
+    entry leaves the float range.
     """
     import numpy as np
 
@@ -247,13 +249,13 @@ def _log_partition_float(graph: FieldedGraph, params: SpinParams,
     factors = []
     for i, (v, f) in enumerate(graph.vertices):
         row = [weight(f, 1) + weight(beta, loops[i]), weight(gamma, loops[i])]
-        if v in pins:
-            row[1 - pins[v]] = -math.inf
         factors.append(((i,), np.array(row, dtype=float)))
     for (i, j), k in mult.items():
         table = [[weight(beta, k), 0.0], [0.0, weight(gamma, k)]]
         factors.append(((i, j), np.array(table, dtype=float)))
-    return float(_eliminate(factors, graph.n, 0.0, np.add, np.logaddexp, limit))
+    kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
+    z = _eliminate(factors, graph.n, kept, 0.0, np.add, np.logaddexp, limit)
+    return [float(x) for x in np.ravel(z)]
 
 
 def _radicand(values) -> int:
@@ -280,23 +282,25 @@ def _lift(x, m: int):
 
 
 def _partition_exact(graph: FieldedGraph, params: SpinParams,
-                     pins: PinAssignment, *, limit: int = ENUM_LIMIT):
-    """Z in the input number type, with no rounding.
+                     keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
+    """Z(kept spins = s) for each s in binary order, with no rounding.
 
-    Fraction-free elimination: beta, gamma and every field are lifted once
-    to an integer block over an integer denominator (`_lift`), each factor
-    table is built from integer blocks with its denominator multiplied into
-    one D, and Z is the last block over D, reduced once.  With beta = B/db
-    and gamma = G/dg, every edge table times db*dg has the integer entries
-    B*dg, db*dg and G*db, and a vertex row [f, 1] times f's denominator df
-    is [F, df]; so D = (prod of df) * (db*dg)**(number of edges).  The
-    result is a Quad when a Quad enters a table (as with Quad arithmetic),
-    else a Fraction.
+    One value, Z, when ``keep`` is empty.  Fraction-free elimination: beta,
+    gamma and every field are lifted once to an integer block over an
+    integer denominator (`_lift`), each factor table is built from integer
+    blocks with its denominator multiplied into one D, and each result is
+    its block over D, reduced once.  With beta = B/db and gamma = G/dg,
+    every edge table times db*dg has the integer entries B*dg, db*dg and
+    G*db, and a vertex row [f, 1] times f's denominator df is [F, df]; so
+    D = (prod of df) * (db*dg)**(number of edges).  The results are Quads
+    when the graph has a vertex and beta, gamma or a field is a Quad (as
+    with Quad arithmetic), else Fractions.
     """
     import numpy as np
 
     beta, gamma = params.beta, params.gamma
-    m = _radicand([beta, gamma] + [f for _, f in graph.vertices])
+    fields = [f for _, f in graph.vertices]
+    m = _radicand([beta, gamma] + fields)
     (B, db), (G, dg) = _lift(beta, m), _lift(gamma, m)
     unit = np.identity(len(B), dtype=object)
     loops, mult = _multiplicities(graph)
@@ -306,29 +310,25 @@ def _partition_exact(graph: FieldedGraph, params: SpinParams,
                for k in {*loops, *mult.values()}}
     factors = []
     denominator = (db * dg) ** len(graph.edges)
-    for i, (v, f) in enumerate(graph.vertices):
+    for i, f in enumerate(fields):
         F, df = _lift(f, m)
         denominator *= df
         beta_k, _, gamma_k = weights[loops[i]]
-        row = [F @ beta_k, df * gamma_k]
-        if v in pins:
-            row[1 - pins[v]] = 0 * unit
-        factors.append(((i,), np.array(row, dtype=object)))
+        factors.append(((i,), np.array([F @ beta_k, df * gamma_k], dtype=object)))
     for (i, j), k in mult.items():
         beta_k, mixed_k, gamma_k = weights[k]
         table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
         factors.append(((i, j), np.array(table, dtype=object)))
-    z = _eliminate(factors, graph.n, unit, np.matmul, np.add, limit)
+    kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
+    z = _eliminate(factors, graph.n, kept, unit, np.matmul, np.add, limit)
 
-    # the inputs in some table: a field and beta unless pinned to 1, gamma
-    # unless pinned to 0, and both wherever an edge joins two vertices
-    entered = [x for v, f in graph.vertices
-               for x, s in ((f, 0), (beta, 0), (gamma, 1)) if pins.get(v, s) == s]
-    entered += [beta, gamma] if mult else []
-    a = Fraction(z[0, 0], denominator)
-    if any(isinstance(x, Quad) for x in entered):
-        return Quad(a, Fraction(z[1, 0], denominator) if m > 1 else 0, m)
-    return a
+    quad = graph.n and any(isinstance(x, Quad) for x in [beta, gamma] + fields)
+    values = []
+    for b in np.reshape(z, (-1, *unit.shape)):
+        a = Fraction(b[0, 0], denominator)
+        values.append(Quad(a, Fraction(b[1, 0], denominator) if m > 1 else 0, m)
+                      if quad else a)
+    return values
 
 
 def _exp(log_value: float, what: str) -> float:
@@ -346,29 +346,30 @@ def partition_function(graph: FieldedGraph, params: SpinParams, *,
     Exact inputs (see `exact.is_exact`) give an exact Z; otherwise Z is a
     float, and one beyond the float range raises NumericError.
     """
-    return pinned_partition(graph, params, {}, limit=limit)
-
-
-def pinned_partition(graph: FieldedGraph, params: SpinParams,
-                     pins: PinAssignment, *, limit: int = ENUM_LIMIT):
-    """Partition function restricted to configurations agreeing with pins."""
-    if _pick_path(graph, params, pins):
-        return _partition_exact(graph, params, pins, limit=limit)
-    return _exp(_log_partition_float(graph, params, pins, limit=limit), "Z")
+    if is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices)):
+        (z,) = _partition_exact(graph, params, (), limit=limit)
+        return z
+    (log_z,) = _log_partition_float(graph, params, (), limit=limit)
+    return _exp(log_z, "Z")
 
 
 def effective_field(graph: FieldedGraph, params: SpinParams, *,
                     limit: int = ENUM_LIMIT):
-    """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex."""
+    """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex.
+
+    One elimination that never eliminates the output leaves its 2-entry
+    table (Z(output=0), Z(output=1)).  The output counts in the buckets of
+    its neighbours, so the capacity limit applies to them as usual.
+    """
     if graph.output is None:
         raise DomainError("graph has no output vertex")
-    pins = {graph.output: 0}, {graph.output: 1}
-    if _pick_path(graph, params, pins[0]):
-        z0, z1 = (_partition_exact(graph, params, p, limit=limit) for p in pins)
+    keep = (graph.output,)
+    if is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices)):
+        z0, z1 = _partition_exact(graph, params, keep, limit=limit)
         if z1 != 0:
             return z0 / z1
     else:
-        l0, l1 = (_log_partition_float(graph, params, p, limit=limit) for p in pins)
+        l0, l1 = _log_partition_float(graph, params, keep, limit=limit)
         if l1 != -math.inf:
             return _exp(l0 - l1, "Z(output=0)/Z(output=1)")
     raise DomainError("conditioned partition function Z(output=1) is zero")

@@ -12,9 +12,12 @@ import random
 from .core import FieldedGraph
 
 
-def random_bipartite_graph(rng: random.Random, max_vertices: int = 12,
-                           max_degree: int = 5) -> tuple[FieldedGraph, list]:
-    """Simple bipartite graph with bounded degrees; returns (graph, left ids).
+MAX_DEGREE = 5
+
+
+def random_bipartite_graph(rng: random.Random, max_vertices: int = 12
+                           ) -> tuple[FieldedGraph, list]:
+    """Simple bipartite graph of degree at most MAX_DEGREE; returns (graph, left ids).
 
     Fields are placeholder 1s; transforms overwrite them.
     """
@@ -29,7 +32,7 @@ def random_bipartite_graph(rng: random.Random, max_vertices: int = 12,
     edges = []
     p_keep = rng.uniform(0.2, 0.8)
     for u, v in candidates:
-        if degree[u] >= max_degree or degree[v] >= max_degree:
+        if degree[u] >= MAX_DEGREE or degree[v] >= MAX_DEGREE:
             continue
         if rng.random() < p_keep:
             edges.append((u, v))
@@ -39,9 +42,7 @@ def random_bipartite_graph(rng: random.Random, max_vertices: int = 12,
     return FieldedGraph(vertices, tuple(edges)), left
 
 
-def random_graph(rng: random.Random, max_vertices: int = 12, field=1,
-                 allow_loops: bool = True, allow_parallel: bool = True
-                 ) -> FieldedGraph:
+def random_graph(rng: random.Random, max_vertices: int = 12, field=1) -> FieldedGraph:
     """General multigraph with uniform fields; may include loops/parallel edges."""
     n = rng.randint(1, max_vertices)
     ids = [f"v{i}" for i in range(n)]
@@ -51,12 +52,11 @@ def random_graph(rng: random.Random, max_vertices: int = 12, field=1,
         for j in range(i + 1, n):
             if rng.random() < p_edge:
                 edges.append((ids[i], ids[j]))
-                if allow_parallel and rng.random() < 0.08:
+                if rng.random() < 0.08:
                     edges.append((ids[i], ids[j]))
-    if allow_loops:
-        for v in ids:
-            if rng.random() < 0.08:
-                edges.append((v, v))
+    for v in ids:
+        if rng.random() < 0.08:
+            edges.append((v, v))
     vertices = tuple((v, field) for v in ids)
     return FieldedGraph(vertices, tuple(edges))
 

@@ -35,7 +35,7 @@ def test_criterion_1_bipartite_identity():
     mu_primes = [Fraction("1.01"), Fraction("1.1"), Fraction(2)]
     rng = random.Random(SEED)
     for i in range(200):
-        graph, left = random_bipartite_graph(rng, max_vertices=12, max_degree=5)
+        graph, left = random_bipartite_graph(rng, max_vertices=12)
         beta, gamma = combos[i % 3]
         mu_p = mu_primes[(i // 3) % 3]
 

@@ -1,15 +1,16 @@
 """The depth-ell gadget construction and its error certification."""
 
+import importlib
 import math
 import random
 
 import pytest
 
-from twospin import (DomainError, RecursionParams, SpinParams,
+from twospin import (DomainError, InvariantViolation, RecursionParams, SpinParams,
                      Star, certify, construct,
                      decay_constants, edge_ratio, gadget_field,
                      invert_edge_ratio, solve_mu_star)
-from twospin.construct import LevelState, _cutoff_delta, check_invariant
+from twospin.construct import _cutoff_delta, _residual_window
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 C = decay_constants(RP)
@@ -36,14 +37,20 @@ def test_base_case_star_bracket():
 
 
 def test_check_invariant_boundaries():
-    d = RP.d
-    mu = RP.params.mu
-    hi = mu * edge_ratio(C.mu_star, RP.params) ** d
-    lo = mu * edge_ratio(0.0, RP.params) ** d
-    assert check_invariant(LevelState(RP, C.mu_star, 1, hi)) is True  # closed top
-    assert check_invariant(LevelState(RP, C.mu_star, 1, lo)) is False  # open bottom
-    assert check_invariant(LevelState(RP, C.mu_star, 1, (lo + hi) / 2)) is True
-    assert check_invariant(LevelState(RP, C.mu_star, 1, hi * 1.01)) is False
+    # mu * edge_ratio(x)**d = mu_1 has a root x in (0, mu_star] exactly on
+    # (lo, hi]: hi is the value at x = mu_star (closed top), lo the value at
+    # x = 0 (open bottom)
+    p = RP.params
+    lo, hi = _residual_window(RP, C.mu_star, 1)
+    assert hi == p.mu * edge_ratio(C.mu_star, p) ** RP.d
+    assert lo == p.mu * edge_ratio(0.0, p) ** RP.d
+    assert invert_edge_ratio(hi / p.mu, p) == pytest.approx(C.mu_star, rel=1e-12)
+    assert 0 < invert_edge_ratio((lo + hi) / 2 / p.mu, p) < C.mu_star
+    # branch i leaves d - i + 1 edge ratios to the residual
+    q = RP_D2.params
+    for i, k in ((1, 2), (2, 1)):
+        assert _residual_window(RP_D2, C_D2.mu_star, i) == (
+            q.mu * edge_ratio(0.0, q) ** k, q.mu * edge_ratio(C_D2.mu_star, q) ** k)
 
 
 def test_target_mu_star_within_bound():
@@ -70,7 +77,8 @@ def test_trace_invariant_holds_at_every_level():
             if rec.terminal == "base-star":
                 continue
             for i, mu_i in enumerate(rec.mu_values, start=1):
-                assert check_invariant(LevelState(rp, consts.mu_star, i, mu_i))
+                lo, hi = _residual_window(rp, consts.mu_star, i)
+                assert lo < mu_i <= hi
 
 
 def test_trace_branch_condition_consistency():
@@ -156,21 +164,25 @@ def test_construct_preconditions():
         construct(2, 1.0, RecursionParams(SpinParams(1.0, 2.0, 5.0), 1))
 
 
-def test_residual_escape_raises_invariant_violation():
-    # the construction aborts, never continues, when a residual target leaves
-    # the solvable window
-    from twospin import InvariantViolation
-    from twospin.construct import _checked_residual
-    p = RP.params
-    lo = p.mu * edge_ratio(0.0, p) ** RP.d
-    hi = p.mu * edge_ratio(C.mu_star, p) ** RP.d
-    state = LevelState(RP, C.mu_star, 1, lo)
-    with pytest.raises(InvariantViolation):
-        _checked_residual(lo / 2, state, "test")
-    with pytest.raises(InvariantViolation):
-        _checked_residual(hi * 1.01, state, "test")
-    # a hair above the closed end is float drift and clamps to it
-    assert _checked_residual(hi * (1 + 1e-13), state, "test") == hi
+def test_residual_escape_raises_invariant_violation(monkeypatch):
+    # the construction checks each residual against its window: it keeps one
+    # on the closed top, clamps one a hair above it (float drift) to the top,
+    # and aborts, never continues, on one at the open bottom, below the
+    # window or above it
+    target = C.mu_star * 0.6
+    r = certify(1, target, RP, C).trace[0].mu_values[0]
+
+    def first_residual(window):
+        # import_module: the package re-exports a function named ``construct``
+        monkeypatch.setattr(importlib.import_module("twospin.construct"), "_residual_window",
+                            lambda rp, mu_star, i: window)
+        return certify(1, target, RP, C).trace[0].mu_values[0]
+
+    assert first_residual((r / 2, r)) == r
+    assert first_residual((r / 2, r / (1 + 1e-13))) == r / (1 + 1e-13)
+    for window in ((r, 2 * r), (2 * r, 4 * r), (r / 4, r / 1.01)):
+        with pytest.raises(InvariantViolation, match="left the solvable window"):
+            first_residual(window)
 
 
 def test_log_error_envelope_decays_geometrically():

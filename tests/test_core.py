@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_z, graph_tuple
+from oracles import brute_effective_field, brute_z, graph_tuple
 from twospin import (CapacityError, DomainError, FieldedGraph, Quad, SpinParams,
                      core, effective_field, graph_from_json, graph_to_json,
-                     partition_function, pinned_partition)
+                     partition_function)
 
 P12 = SpinParams(1.0, 2.0, 2.0)
 
@@ -34,10 +34,11 @@ def test_partition_matches_brute_force_on_random_graphs():
     # multigraphs of up to 10 vertices with self-loops and parallel edges,
     # either drawn over a random prefix of the vertices (one large component
     # with cycles, untouched vertices isolated) or split into two components
-    # plus an isolated vertex; pins; beta or gamma zero, so Z may be 0;
-    # float, Fraction and Quad weights, and Fractions over large pairwise
-    # coprime denominators (primes near 10^9) whose cleared integers are long,
-    # with Quad beta and gamma (sqrt(2) parts) on every other such case
+    # plus an isolated vertex; an output vertex, whose effective field is
+    # checked too; beta or gamma zero, so Z and Z(output=1) may be 0; float,
+    # Fraction and Quad weights, and Fractions over large pairwise coprime
+    # denominators (primes near 10^9) whose cleared integers are long, with
+    # Quad beta and gamma (sqrt(2) parts) on every other such case
     rng = random.Random(1234)
     primes = [999999937, 999999929, 999999893, 999999883, 1000000007, 1000000009]
     numbers = {  # a number in [lo/10, hi/10], plus up to sqrt(2) for Quad
@@ -66,24 +67,32 @@ def test_partition_matches_brute_force_on_random_graphs():
         gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
         if kind == "coprime" and case // 4 % 2:
             beta, gamma = (Quad(x, num(0, 10), 2) for x in (beta, gamma))
-        pins = {v: rng.randint(0, 1) for v in rng.sample(ids, rng.randint(0, min(2, n)))}
-        g = FieldedGraph(fields, edges)
+        output = rng.choice(ids)
+        g = FieldedGraph(fields, edges, output)
         p = SpinParams(beta, gamma, 1)
-        z = pinned_partition(g, p, pins) if pins else partition_function(g, p)
-        want = brute_z(fields, edges, beta, gamma, pins)
-        if kind == "float":
-            assert z == pytest.approx(want, rel=1e-12)
+        quad = any(isinstance(x, Quad) for x in (beta, gamma, *fields.values()))
+        values = [(partition_function(g, p), brute_z(fields, edges, beta, gamma))]
+        try:
+            field = brute_effective_field(fields, edges, beta, gamma, output)
+        except ZeroDivisionError:  # Z(output=1) == 0
+            with pytest.raises(DomainError, match=r"Z\(output=1\) is zero"):
+                effective_field(g, p)
         else:
-            assert z == want
-            quad = any(isinstance(x, Quad) for x in (beta, gamma, *fields.values()))
-            assert type(z) is (Quad if quad else Fraction)
+            values.append((effective_field(g, p), field))
+        for got, want in values:
+            if kind == "float":
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert got == want
+                assert type(got) is (Quad if quad else Fraction)
 
 
 def test_float_path_keeps_log_range():
     # each Z lies outside the float range; log Z does not
     def log_z(vertices, edges, beta, gamma):
-        return core._log_partition_float(FieldedGraph(vertices, edges),
-                                         SpinParams(beta, gamma, 1.0), {})
+        (log_z,) = core._log_partition_float(FieldedGraph(vertices, edges),
+                                             SpinParams(beta, gamma, 1.0), ())
+        return log_z
 
     triple = log_z({"u": 1.0, "v": 1.0}, [("u", "v")] * 3, 1e200, 1.0)
     assert triple == pytest.approx(600 * math.log(10), rel=1e-12)
@@ -130,31 +139,6 @@ def test_mixed_radicands_are_rejected():
                  (FieldedGraph({"u": sqrt3}, [("u", "u")]), SpinParams(sqrt2, Fraction(3), 1))]:
         with pytest.raises(ValueError, match="incompatible radicands"):
             partition_function(g, p)
-
-
-def test_pinned_partition_examples():
-    g1 = FieldedGraph({"v": 20.0}, [])
-    p = SpinParams(1.0, 2.0, 20.0)
-    assert pinned_partition(g1, p, {"v": 0}) == pytest.approx(20.0, rel=1e-12)
-    assert pinned_partition(g1, p, {"v": 1}) == pytest.approx(1.0, rel=1e-12)
-    g2 = FieldedGraph({"u": 2.0, "v": 2.0}, [("u", "v")])
-    assert pinned_partition(g2, P12, {"u": 1}) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_pin_sum_identity():
-    rng = random.Random(99)
-    for _ in range(20):
-        n = rng.randint(1, 8)
-        ids = [f"v{i}" for i in range(n)]
-        fields = {v: rng.uniform(0.3, 5.0) for v in ids}
-        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 12))]
-        g = FieldedGraph(fields, edges)
-        p = SpinParams(rng.uniform(0.1, 2.0), rng.uniform(0.5, 3.0), 1.0)
-        v = rng.choice(ids)
-        z = partition_function(g, p)
-        z0 = pinned_partition(g, p, {v: 0})
-        z1 = pinned_partition(g, p, {v: 1})
-        assert z == pytest.approx(z0 + z1, rel=1e-11)
 
 
 def test_relabeling_and_edge_order_invariance():
@@ -230,16 +214,53 @@ def test_capacity_limit(monkeypatch):
     assert partition_function(FieldedGraph({}, []), P12, limit=0) == 1.0
 
 
-def _reference_eliminate(factors: list, n: int, unit, mul, add, limit: int):
+def test_kept_output_counts_in_capacity():
+    # K6 minus (0,2), (1,3), (1,4), (3,4), (2,5) has width 3, but keeping
+    # vertex 1 forces a bucket of 5 vertices; the field is still exact
+    # against the oracle once the limit admits that bucket
+    edges = [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]
+    g = FieldedGraph({f"v{i}": Fraction(2) for i in range(6)},
+                     [(f"v{a}", f"v{b}") for a, b in edges], output="v1")
+    p = SpinParams(Fraction(1), Fraction(2), 1)
+    assert partition_function(g, p, limit=4) == brute_z(*graph_tuple(g), 1, 2)
+    with pytest.raises(CapacityError, match=r"width 4 needs buckets of 5 vertices"):
+        effective_field(g, p, limit=4)
+    assert effective_field(g, p, limit=5) == brute_effective_field(*graph_tuple(g), 1, 2, "v1")
+
+
+def test_effective_field_is_one_elimination(monkeypatch):
+    calls = []
+    eliminate = core._eliminate
+
+    def spy(*args):
+        calls.append(args[2])
+        return eliminate(*args)
+
+    monkeypatch.setattr(core, "_eliminate", spy)
+    g = FieldedGraph({"u": Fraction(2), "v": Fraction(3), "w": Fraction(1, 2)},
+                     [("u", "v"), ("v", "w"), ("w", "u"), ("v", "v")], output="v")
+    floats = g.with_fields({x: float(f) for x, f in g.field_map.items()})
+    for graph, params in ((g, SpinParams(Fraction(3, 2), Fraction(2), 1)),
+                          (floats, SpinParams(1.5, 2.0, 1.0))):
+        calls.clear()
+        field = effective_field(graph, params)
+        assert calls == [(1,)]
+        want = brute_effective_field(*graph_tuple(g), Fraction(3, 2), Fraction(2), "v")
+        assert field == pytest.approx(want, rel=1e-12)
+
+
+def _reference_eliminate(factors: list, n: int, keep: tuple, unit, mul, add, limit: int):
     """The elimination engine as first written, kept as a bit-for-bit reference.
 
     A min() scan picks each vertex (least degree, then position), the bucket
     is every factor on it in list order, and both halves of the product are
     broadcast to the full table over the neighbours before multiplying.
-    ``limit`` is not checked.
+    It eliminates every vertex, so ``keep`` must be empty; ``limit`` is not
+    checked.
     """
     import numpy as np
 
+    assert keep == ()
     block = np.shape(unit)
 
     def product(parts, s, shape):
@@ -280,8 +301,8 @@ def _reference_eliminate(factors: list, n: int, unit, mul, add, limit: int):
 
 def test_bucket_engine_matches_reference_bit_for_bit(monkeypatch):
     # seeded multigraphs of up to 13 vertices with self-loops, parallel
-    # edges, pins and zero weights; float log Z must be the same float and
-    # exact Z the same number as with the reference engine
+    # edges and zero weights; float log Z must be the same float and exact Z
+    # the same number as with the reference engine
     rng = random.Random(31)
     numbers = {
         "float": lambda lo, hi: rng.uniform(lo, hi) / 10,
@@ -299,13 +320,12 @@ def test_bucket_engine_matches_reference_bit_for_bit(monkeypatch):
         edges += edges[:rng.randint(0, 3)]
         beta = num(1, 25) if case % 5 else 0 * num(1, 1)
         gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
-        pins = {v: rng.randint(0, 1) for v in rng.sample(ids, rng.randint(0, min(2, n)))}
         cases.append((FieldedGraph({v: num(2, 40) for v in ids}, edges),
-                      SpinParams(beta, gamma, 1), pins, kind == "float"))
+                      SpinParams(beta, gamma, 1), kind == "float"))
 
     def evaluate():
-        return [core._log_partition_float(g, p, pins) if is_float
-                else pinned_partition(g, p, pins) for g, p, pins, is_float in cases]
+        return [core._log_partition_float(g, p, ())[0] if is_float
+                else partition_function(g, p) for g, p, is_float in cases]
 
     got = evaluate()
     monkeypatch.setattr(core, "_eliminate", _reference_eliminate)
@@ -325,11 +345,6 @@ def test_validation_errors():
         SpinParams(-0.1, 2.0, 1.0)
     with pytest.raises(DomainError):
         SpinParams(1.0, 2.0, 0.0)
-    g = FieldedGraph({"v": 1.0}, [])
-    with pytest.raises(DomainError):
-        pinned_partition(g, P12, {"w": 0})
-    with pytest.raises(DomainError):
-        pinned_partition(g, P12, {"v": 2})
 
 
 def test_regime_classification_total():
