@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import reductions as red
 from .construct import certify as certify_construct
 from .core import (ENUM_LIMIT, SpinParams, effective_field, graph_from_json,
-                   graph_to_json, partition_function)
+                   graph_to_json, partition_and_field, partition_function)
 from .errors import CapacityError, DomainError, NumericError
 from .gadgets import gadget_to_json, materialize, star_convergence, tree_convergence
 from .instances import random_bipartite_graph, random_graph
@@ -33,9 +33,12 @@ from .serialize import SCHEMA_VERSION, dump_csv, dump_json, exact_str
 
 
 def _scalar(text: str, mode: str):
-    """Parse a numeric flag; rational mode keeps it exact."""
+    """Parse a finite numeric flag; rational mode keeps it exact."""
     try:
-        return Fraction(text) if mode == "rational" else float(text)
+        x = Fraction(text) if mode == "rational" else float(text)
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(text)
+        return x
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a number: {text!r}") from exc
 
@@ -55,12 +58,12 @@ def _load_graph(path: str, mode: str):
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=num)
-        for key in ("beta", "gamma"):
-            if type(doc[key]) in stray:
-                doc[key] = num(doc[key])
-        for vertex in doc["vertices"]:
-            if type(vertex["field"]) in stray:
-                vertex["field"] = num(vertex["field"])
+        numbers = [(doc, "beta"), (doc, "gamma"), *((v, "field") for v in doc["vertices"])]
+        for holder, key in numbers:
+            if type(holder[key]) in stray:
+                holder[key] = num(holder[key])
+            if type(holder[key]) is float and not math.isfinite(holder[key]):  # float mode
+                raise ValueError(f"{key} = {holder[key]} is not a finite number")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except (KeyError, TypeError):
@@ -124,11 +127,13 @@ def _certificate_doc(cert: red.ReductionCertificate) -> dict:
 def cmd_eval(args) -> int:
     graph, base = _load_graph(args.input, args.mode)
     params = _params(args, base)
-    z = partition_function(graph, params, limit=args.enum_limit)
+    if graph.output is None:
+        z, field = partition_function(graph, params, limit=args.enum_limit), None
+    else:  # one elimination gives both
+        z, field = partition_and_field(graph, params, limit=args.enum_limit)
     doc = {"mode": args.mode, "n_vertices": graph.n, "n_edges": len(graph.edges),
            "Z": _float(z, "Z"), "Z_exact": exact_str(z)}
-    if graph.output is not None:
-        field = effective_field(graph, params, limit=args.enum_limit)
+    if field is not None:
         doc.update(effective_field=_float(field, "effective field"),
                    effective_field_exact=exact_str(field))
     _emit(args, doc)

@@ -236,14 +236,6 @@ def _prepare(ell: int, target: float, rp: RecursionParams,
     return target, C
 
 
-def construct(ell: int, target: float, rp: RecursionParams,
-              constants: Optional[DecayConstants] = None) -> GadgetTree:
-    """Gadget whose field approximates target within (ln gamma + ell)*alpha**ell."""
-    target, C = _prepare(ell, target, rp, constants)
-    tree, _ = _construct(ell, target, rp, C)
-    return tree
-
-
 def error_bound(ell: int, p_gamma: float, alpha: float) -> float:
     """The certified log-field error budget (ln gamma + ell) * alpha**ell."""
     return (math.log(p_gamma) + ell) * alpha ** ell

@@ -22,8 +22,8 @@ and eliminating v spans v and its neighbours rest: O(n log n + sum of
 limit (default 24) vertices, w + 1 > limit at width w, is refused before any
 table is built.  The effective field is one elimination that keeps the
 output (never eliminates it, so it counts in its neighbours' buckets) and
-ends with its table (Z(output=0), Z(output=1)).  The tables are numpy
-arrays; the engine imports numpy.
+ends with its table (Z(output=0), Z(output=1)), whose sum is Z.  The
+tables are numpy arrays; the engine imports numpy.
 """
 
 from __future__ import annotations
@@ -63,15 +63,6 @@ class SpinParams:
             raise DomainError("beta and gamma must be non-negative")
         if not _positive(self.mu):
             raise DomainError("mu must be positive")
-
-    @property
-    def regime(self) -> str:
-        bg = self.beta * self.gamma
-        if bg > 1:
-            return "ferromagnetic"
-        if bg < 1:
-            return "antiferromagnetic"
-        return "degenerate"
 
 
 @dataclass(frozen=True)
@@ -353,26 +344,40 @@ def partition_function(graph: FieldedGraph, params: SpinParams, *,
     return _exp(log_z, "Z")
 
 
-def effective_field(graph: FieldedGraph, params: SpinParams, *,
-                    limit: int = ENUM_LIMIT):
-    """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex.
-
-    One elimination that never eliminates the output leaves its 2-entry
-    table (Z(output=0), Z(output=1)).  The output counts in the buckets of
-    its neighbours, so the capacity limit applies to them as usual.
-    """
+def _kept_output(graph: FieldedGraph, params: SpinParams, limit: int) -> tuple:
+    """(exact, Z(output=0), Z(output=1)), as logs on the float path, from one
+    elimination that keeps the output (it counts in its neighbours' buckets).
+    No output, or Z(output=1) = 0, raises DomainError."""
     if graph.output is None:
         raise DomainError("graph has no output vertex")
-    keep = (graph.output,)
-    if is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices)):
-        z0, z1 = _partition_exact(graph, params, keep, limit=limit)
-        if z1 != 0:
-            return z0 / z1
-    else:
-        l0, l1 = _log_partition_float(graph, params, keep, limit=limit)
-        if l1 != -math.inf:
-            return _exp(l0 - l1, "Z(output=0)/Z(output=1)")
-    raise DomainError("conditioned partition function Z(output=1) is zero")
+    exact = is_exact(params.beta, params.gamma, *(f for _, f in graph.vertices))
+    evaluate = _partition_exact if exact else _log_partition_float
+    z0, z1 = evaluate(graph, params, (graph.output,), limit=limit)
+    if z1 == (0 if exact else -math.inf):
+        raise DomainError("conditioned partition function Z(output=1) is zero")
+    return exact, z0, z1
+
+
+def _ratio(exact: bool, z0, z1):
+    return z0 / z1 if exact else _exp(z0 - z1, "Z(output=0)/Z(output=1)")
+
+
+def effective_field(graph: FieldedGraph, params: SpinParams, *,
+                    limit: int = ENUM_LIMIT):
+    """Ratio Z(output=0)/Z(output=1) realised by the graph's output vertex."""
+    return _ratio(*_kept_output(graph, params, limit))
+
+
+def partition_and_field(graph: FieldedGraph, params: SpinParams, *,
+                        limit: int = ENUM_LIMIT) -> tuple:
+    """(Z, effective field) from the one elimination of `effective_field`:
+    Z = Z(output=0) + Z(output=1), summed in log space on the float path,
+    where a Z beyond the float range raises NumericError."""
+    import numpy as np
+
+    exact, z0, z1 = _kept_output(graph, params, limit)
+    z = z0 + z1 if exact else _exp(float(np.logaddexp(z0, z1)), "Z")
+    return z, _ratio(exact, z0, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +405,8 @@ def graph_from_json(doc: Mapping) -> tuple[FieldedGraph, SpinParams]:
         edges = tuple((u, v) for u, v in doc["edges"])
         graph = FieldedGraph(verts, edges, doc.get("output"))
         params = SpinParams(doc["beta"], doc["gamma"], 1)
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge not a pair
         raise DomainError(f"malformed graph document: {exc}") from exc
     return graph, params

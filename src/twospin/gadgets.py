@@ -60,14 +60,9 @@ class Comb:
 GadgetTree = Union[Star, DaryTree, Comb]
 
 
-def comb(children) -> Comb:
-    """Join the children's outputs under a fresh output vertex."""
-    return Comb(tuple(children))
-
-
-def gadget_field(tree: GadgetTree, p: SpinParams, _memo: dict | None = None):
+def gadget_field(tree: GadgetTree, p: SpinParams):
     """Exact effective field of the gadget via the product recursion."""
-    memo = _memo if _memo is not None else {}
+    memo = {}
 
     def f(node):
         got = memo.get(node)

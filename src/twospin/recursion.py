@@ -104,8 +104,7 @@ def contraction_bound(p: SpinParams) -> float:
     return (s - 1) / (s + 1)
 
 
-def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12,
-                         max_iter: int = 10 ** 6) -> list:
+def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12) -> list:
     """Iterates x0 = mu, x_{i+1} = level_map(x_i), run to relative stagnation.
 
     The sequence decreases monotonically onto the largest fixed point, so the
@@ -114,7 +113,7 @@ def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12,
     """
     x = rp.params.mu
     out = [x]
-    for _ in range(max_iter):
+    for _ in range(10 ** 6):
         nxt = level_map(x, rp)
         out.append(nxt)
         if abs(x - nxt) <= rel_tol * abs(nxt):
@@ -124,14 +123,13 @@ def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12,
         "fixed-point iteration did not stagnate; parameters likely violate preconditions")
 
 
-def solve_mu_star(rp: RecursionParams, rel_tol: float = 1e-12,
-                  max_iter: int = 10 ** 6):
+def solve_mu_star(rp: RecursionParams, rel_tol: float = 1e-12):
     """Largest fixed point of the level map, via the monotone iteration.
 
     The result is validated against the a-priori bracket
     mu/gamma**d < mu_star < beta**d * mu.
     """
-    return _bracketed(fixed_point_iterates(rp, rel_tol, max_iter)[-1], rp)
+    return _bracketed(fixed_point_iterates(rp, rel_tol)[-1], rp)
 
 
 def _bracketed(mu_star, rp: RecursionParams):
@@ -148,7 +146,7 @@ def _bracketed(mu_star, rp: RecursionParams):
 _IOTA_CHECK_HORIZON = 200
 
 
-def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstants:
+def decay_constants(rp: RecursionParams) -> DecayConstants:
     """Concrete (alpha, c, eta, iota, t0) with a certified contraction window.
 
     c is placed halfway between the contraction at the fixed point and 1; eta
@@ -162,7 +160,7 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
     every depth.
     """
     p = rp.params
-    iterates = fixed_point_iterates(rp, rel_tol)
+    iterates = fixed_point_iterates(rp)
     mu_star = _bracketed(iterates[-1], rp)
     alpha = contraction_bound(p)
     g_star = contraction_rate(mu_star, rp)
@@ -199,7 +197,7 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
 # ---------------------------------------------------------------------------
 # thresholds
 
-def uniqueness_threshold(beta: float, degree: int, rel_tol: float = 1e-10) -> float:
+def uniqueness_threshold(beta: float, degree: int) -> float:
     """Critical field mu_c > 1 for the antiferromagnetic Ising tree recursion.
 
     The recursion x -> mu * ((beta*x + 1)/(x + beta))**(degree-1) on the
@@ -240,7 +238,7 @@ def uniqueness_threshold(beta: float, degree: int, rel_tol: float = 1e-10) -> fl
     else:
         raise NumericError("could not bracket the stability transition")
     lo = 1.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if stability(mid) < 1:
             hi = mid

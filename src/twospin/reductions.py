@@ -68,7 +68,7 @@ def lift(*values) -> tuple:
     is exact, and every value becomes a float otherwise."""
     if is_exact(*values):
         return tuple(Fraction(v) if isinstance(v, int) else v for v in values)
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
 def _sqrt(x):
@@ -80,12 +80,12 @@ def _half_power(x, k: int):
     return half_power(x, k) if is_exact(x) else x ** (k / 2)
 
 
-def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT,
-                     rel_tol: float = 1e-9) -> ReductionCertificate:
+def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT
+                     ) -> ReductionCertificate:
     """Re-evaluate both sides and stamp ``verified``.
 
     Exact sides (`exact.is_exact`) are required to agree exactly; otherwise
-    they must agree to ``rel_tol`` relative error.
+    they must agree to a relative error of 1e-9.
     """
     z_in = partition_function(cert.input.graph, cert.input.params, limit=limit)
     z_out = partition_function(cert.output.graph, cert.output.params, limit=limit)
@@ -99,7 +99,7 @@ def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT,
         ok = lhs == rhs
     else:
         lhs_f, rhs_f = float(lhs), float(rhs)
-        ok = abs(lhs_f - rhs_f) <= rel_tol * abs(lhs_f)
+        ok = abs(lhs_f - rhs_f) <= 1e-9 * abs(lhs_f)
     return dataclasses.replace(cert, verified=bool(ok))
 
 
@@ -221,6 +221,8 @@ def _least_loops_and_bristles(target, m: int, beta: float, gamma: float, mu: flo
     `_first_hit` finds the first y that comes within 1/m of a multiple of a.
     A y beyond `MATERIALIZE_LIMIT` raises CapacityError.
     """
+    if float(target) / mu == 0.0:
+        raise NumericError(f"target/mu = {float(target)!r}/{mu!r} underflows a float")
     floats = (math.log(gamma / beta), math.log((mu * beta + 1) / (mu + gamma)),
               math.log(float(target) / mu), 1.0 / m)
     if not floats[0] > 0 < floats[1]:
@@ -283,11 +285,14 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
     a round's pendants are the neighbours whose degree fell to 1 in the round
     before, and one whose degree fell to 0 earlier in its own round (the far
     end of a K2) is skipped.  The surviving edges keep their input order.
+    beta, gamma and the fields are first lifted to one number type (`lift`).
 
     Cost: O(|V| + |E| + sum of k log k over the rounds' k pendants), from
     per-vertex incidence lists and degrees built once.
     """
-    fields = dict(graph.field_map)
+    beta, gamma, *values = lift(p.beta, p.gamma, *graph.field_map.values())
+    lifted = SpinParams(beta, gamma, p.mu)
+    fields = dict(zip(graph.field_map, values))
     edges = graph.edges
     incident: dict = {v: [] for v in fields}
     for i, (a, b) in enumerate(edges):
@@ -306,8 +311,8 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
             i = next(i for i in incident[u] if alive[i])
             a, b = edges[i]
             v = b if a == u else a
-            scale = scale * (fields[u] + p.gamma)
-            fields[v] = fields[v] * edge_ratio(fields[u], p)
+            scale = scale * (fields[u] + gamma)
+            fields[v] = fields[v] * edge_ratio(fields[u], lifted)
             del fields[u]
             alive[i] = False
             deg[u] -= 1

@@ -1,8 +1,9 @@
 """Deterministic JSON/CSV emission.
 
 Identical invocations must produce byte-identical output, so floats are
-rounded to 12 significant digits, keys are sorted, and exact numbers
-(Fraction/Quad) serialise to both a float and a lossless string.
+rounded to 12 significant digits and keys are sorted.  Only JSON's types
+are written; any other, an exact Fraction or Quad too, raises TypeError, so
+a command writes an exact value as a float plus its `exact_str`.
 
 ``dump_json`` walks the document once and writes the final text directly:
 the bytes equal those of ``json.dumps(..., sort_keys=True, indent=2) + "\\n"``
@@ -14,11 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
-from .exact import Quad, is_exact
+from .exact import is_exact
 
 SCHEMA_VERSION = 1
 
@@ -92,10 +92,6 @@ def _write(o, out: list, nl: str) -> None:
         out.append(_float(o))
     elif isinstance(o, int):
         out.append(int.__repr__(o))
-    elif isinstance(o, (Fraction, Quad)):
-        inner = nl + "  "
-        out.append("{" + inner + '"exact": ' + _quote(str(o)) + "," + inner
-                   + '"float": ' + _float(o) + nl + "}")
     elif isinstance(o, str):
         out.append(_quote(o))
     else:

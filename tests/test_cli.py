@@ -76,6 +76,36 @@ def test_eval_reports_effective_field(tmp_path, capsys):
     assert json.loads(out)["effective_field"] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("output", [None, "v"])
+def test_eval_is_one_elimination(tmp_path, capsys, monkeypatch, mode, output):
+    # Z and the field of a graph with an output come from the one pass that
+    # keeps the output: Z = Z(output=0) + Z(output=1)
+    doc = dict(PATH_DOC, vertices=[{"id": "u", "field": 2}, {"id": "v", "field": 3},
+                                   {"id": "w", "field": 5}], output=output)
+    path = write_doc(tmp_path, doc)
+    calls = []
+    eliminate = core._eliminate
+
+    def spy(factors, n, keep, *rest):
+        calls.append(keep)
+        return eliminate(factors, n, keep, *rest)
+
+    monkeypatch.setattr(core, "_eliminate", spy)
+    code, out = run(capsys, ["eval", "--input", path, "--mode", mode])
+    assert code == 0
+    assert calls == [(1,) if output else ()]
+    got = json.loads(out)
+    # Z(v=0) = 3 * (2 + 1) * (5 + 1) = 54, Z(v=1) = (2 + 2) * (5 + 2) = 28
+    assert got["Z"] == pytest.approx(82.0, rel=1e-12)
+    if mode == "rational":
+        assert got["Z_exact"] == "82"
+    if output:
+        assert got["effective_field"] == pytest.approx(54 / 28, rel=1e-12)
+        if mode == "rational":
+            assert got["effective_field_exact"] == "27/14"
+
+
 def test_eval_capacity_exit_code(tmp_path, capsys):
     # K12 has width 11, so its buckets span 12 vertices, above --enum-limit 8
     ids = [f"v{i}" for i in range(12)]
@@ -277,6 +307,17 @@ def test_reduce_selfloop_refusals(flags, code, label):
     assert proc.returncode == code
     assert proc.stderr.startswith(f"{label}: ")
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def test_reduce_selfloop_target_underflow_is_a_numeric_error():
+    # target/mu = 5e-324/3 rounds to 0.0, whose log the search would need
+    argv = ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "3",
+            "--target", "5e-324", "--m", "10"]
+    proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2
+    assert proc.stderr == "numeric error: target/mu = 5e-324/3.0 underflows a float\n"
     assert proc.stdout == ""
 
 
@@ -707,13 +748,25 @@ def _subprocess_env():
     ["reduce", "--kind", "pipeline", "--random-trials", "3", "--beta", "0", "--gamma", "2"],
     ["reduce", "--kind", "pipeline", "--random-trials", "-3", "--beta", "0.8", "--gamma", "2"],
     ["reduce", "--kind", "ising", "--input", "{k2}", "--beta", "0", "--mu", "2"],
+    ["eval", "--input", "{triple}"],
+    ["eval", "--input", "{single}"],
+    ["eval", "--input", "{infinite}"],
+    ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "3",
+     "--target", "inf", "--m", "10"],
+    ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "inf",
+     "--target", "5", "--m", "10"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
-        "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0"])
+        "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0",
+        "edge-of-three", "edge-of-one", "float-file-beta-infinity", "selfloop-target-inf",
+        "selfloop-mu-inf"])
 def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
-             "malformed": str(tmp_path / "bad.json")}
+             "malformed": str(tmp_path / "bad.json"),
+             "triple": write_doc(tmp_path, dict(K2_DOC, edges=[["u", "u", "u"]]), "3.json"),
+             "single": write_doc(tmp_path, dict(K2_DOC, edges=[["u"]]), "1.json"),
+             "infinite": write_doc(tmp_path, dict(K2_DOC, beta=math.inf), "inf.json")}
     (tmp_path / "bad.json").write_text('{"beta": 1, "gamma": ')
     argv = [arg.format(**files) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],

@@ -1,15 +1,13 @@
 """The depth-ell gadget construction and its error certification."""
 
-import importlib
 import math
 import random
 
 import pytest
 
 from twospin import (DomainError, InvariantViolation, RecursionParams, SpinParams,
-                     Star, certify, construct,
-                     decay_constants, edge_ratio, gadget_field,
-                     invert_edge_ratio, solve_mu_star)
+                     Star, certify, construct, decay_constants, edge_ratio,
+                     gadget_field, invert_edge_ratio, solve_mu_star)
 from twospin.construct import _cutoff_delta, _residual_window
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
@@ -24,11 +22,10 @@ C_NC = decay_constants(RP_NC)
 
 
 def test_base_case_star_bracket():
-    tree = construct(0, 10.0, RP, C)
-    assert tree == Star(14)
+    rep = certify(0, 10.0, RP, C)
+    assert rep.gadget == Star(14)
     # 20*(21/22)^15 ~ 9.9536 < 10 <= 20*(21/22)^14 ~ 10.4276
     assert 20 * (21 / 22) ** 15 < 10.0 <= 20 * (21 / 22) ** 14
-    rep = certify(0, 10.0, RP, C)
     assert rep.achieved == pytest.approx(10.427557430412, rel=1e-11)
     assert abs(rep.log_error) == pytest.approx(0.041866961671, abs=1e-9)
     assert abs(rep.log_error) <= math.log(2.0)
@@ -147,21 +144,19 @@ def test_recursive_case_residual_stays_in_range():
 
 
 def test_determinism():
-    a = construct(5, 11.3, RP, C)
-    b = construct(5, 11.3, RP, C)
-    assert a == b
+    assert certify(5, 11.3, RP, C) == certify(5, 11.3, RP, C)
 
 
 def test_construct_preconditions():
     with pytest.raises(DomainError):
-        construct(-1, 5.0, RP, C)
+        certify(-1, 5.0, RP, C)
     with pytest.raises(DomainError):
-        construct(3, 0.0, RP, C)
+        certify(3, 0.0, RP, C)
     with pytest.raises(DomainError):
-        construct(3, C.mu_star * 1.001, RP, C)
+        certify(3, C.mu_star * 1.001, RP, C)
     # mu below the solvable-range bound: 7.77 needed for (1, 2, d=1)
     with pytest.raises(DomainError):
-        construct(2, 1.0, RecursionParams(SpinParams(1.0, 2.0, 5.0), 1))
+        certify(2, 1.0, RecursionParams(SpinParams(1.0, 2.0, 5.0), 1))
 
 
 def test_residual_escape_raises_invariant_violation(monkeypatch):
@@ -173,9 +168,7 @@ def test_residual_escape_raises_invariant_violation(monkeypatch):
     r = certify(1, target, RP, C).trace[0].mu_values[0]
 
     def first_residual(window):
-        # import_module: the package re-exports a function named ``construct``
-        monkeypatch.setattr(importlib.import_module("twospin.construct"), "_residual_window",
-                            lambda rp, mu_star, i: window)
+        monkeypatch.setattr(construct, "_residual_window", lambda rp, mu_star, i: window)
         return certify(1, target, RP, C).trace[0].mu_values[0]
 
     assert first_residual((r / 2, r)) == r

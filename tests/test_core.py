@@ -9,7 +9,7 @@ import pytest
 from oracles import brute_effective_field, brute_z, graph_tuple
 from twospin import (CapacityError, DomainError, FieldedGraph, Quad, SpinParams,
                      core, effective_field, graph_from_json, graph_to_json,
-                     partition_function)
+                     partition_and_field, partition_function)
 
 P12 = SpinParams(1.0, 2.0, 2.0)
 
@@ -35,7 +35,8 @@ def test_partition_matches_brute_force_on_random_graphs():
     # either drawn over a random prefix of the vertices (one large component
     # with cycles, untouched vertices isolated) or split into two components
     # plus an isolated vertex; an output vertex, whose effective field is
-    # checked too; beta or gamma zero, so Z and Z(output=1) may be 0; float,
+    # checked too, and Z and the field from the one pass of
+    # partition_and_field; beta or gamma zero, so Z and Z(output=1) may be 0; float,
     # Fraction and Quad weights, and Fractions over large pairwise coprime
     # denominators (primes near 10^9) whose cleared integers are long, with
     # Quad beta and gamma (sqrt(2) parts) on every other such case
@@ -71,14 +72,17 @@ def test_partition_matches_brute_force_on_random_graphs():
         g = FieldedGraph(fields, edges, output)
         p = SpinParams(beta, gamma, 1)
         quad = any(isinstance(x, Quad) for x in (beta, gamma, *fields.values()))
-        values = [(partition_function(g, p), brute_z(fields, edges, beta, gamma))]
+        z = brute_z(fields, edges, beta, gamma)
+        values = [(partition_function(g, p), z)]
         try:
             field = brute_effective_field(fields, edges, beta, gamma, output)
         except ZeroDivisionError:  # Z(output=1) == 0
-            with pytest.raises(DomainError, match=r"Z\(output=1\) is zero"):
-                effective_field(g, p)
+            for fn in (effective_field, partition_and_field):
+                with pytest.raises(DomainError, match=r"Z\(output=1\) is zero"):
+                    fn(g, p)
         else:
-            values.append((effective_field(g, p), field))
+            values += [(effective_field(g, p), field),
+                       *zip(partition_and_field(g, p), (z, field))]
         for got, want in values:
             if kind == "float":
                 assert got == pytest.approx(want, rel=1e-12)
@@ -176,8 +180,9 @@ def test_effective_field_examples():
 
 def test_effective_field_requires_output():
     g = FieldedGraph({"v": 2.0}, [])
-    with pytest.raises(DomainError):
-        effective_field(g, P12)
+    for fn in (effective_field, partition_and_field):
+        with pytest.raises(DomainError, match="no output vertex"):
+            fn(g, P12)
 
 
 def test_capacity_limit(monkeypatch):
@@ -345,12 +350,6 @@ def test_validation_errors():
         SpinParams(-0.1, 2.0, 1.0)
     with pytest.raises(DomainError):
         SpinParams(1.0, 2.0, 0.0)
-
-
-def test_regime_classification_total():
-    assert SpinParams(2.0, 3.0, 1.0).regime == "ferromagnetic"
-    assert SpinParams(0.5, 1.0, 1.0).regime == "antiferromagnetic"
-    assert SpinParams(0.5, 2.0, 1.0).regime == "degenerate"
 
 
 def test_graph_json_round_trip():

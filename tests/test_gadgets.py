@@ -10,7 +10,7 @@ import pytest
 from gadget_helpers import gadget_from_json, random_gadget_tree
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
-                     RecursionParams, SpinParams, Star, comb,
+                     RecursionParams, SpinParams, Star,
                      contract_degree_one, decay_constants, effective_field,
                      gadget_field, gadget_to_json, materialize,
                      solve_mu_star, star_convergence, tree_convergence,
@@ -44,8 +44,8 @@ def test_tree_recursion_is_level_map():
 
 
 def test_comb_of_singleton_equals_star_one():
-    assert gadget_field(comb([Star(0)]), P) == pytest.approx(210 / 11, rel=1e-14)
-    assert gadget_field(comb([Star(0)]), P) == pytest.approx(
+    assert gadget_field(Comb([Star(0)]), P) == pytest.approx(210 / 11, rel=1e-14)
+    assert gadget_field(Comb([Star(0)]), P) == pytest.approx(
         gadget_field(Star(1), P), rel=1e-14)
 
 
@@ -54,19 +54,19 @@ def test_comb_product_law():
     for _ in range(20):
         a = [random_gadget_tree(rng, 5) for _ in range(rng.randint(1, 3))]
         b = [random_gadget_tree(rng, 5) for _ in range(rng.randint(1, 3))]
-        lhs = gadget_field(comb(a + b), P)
-        rhs = gadget_field(comb(a), P) * gadget_field(comb(b), P) / P.mu
+        lhs = gadget_field(Comb(a + b), P)
+        rhs = gadget_field(Comb(a), P) * gadget_field(Comb(b), P) / P.mu
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_comb_requires_children():
     with pytest.raises(DomainError):
-        comb([])
+        Comb([])
 
 
 def test_comb_of_stars_matches_hand_formula():
     # a w-star's field is mu * h(mu)**w; the comb multiplies mu by h(child field)
-    tree = comb([Star(2), Star(0)])
+    tree = Comb([Star(2), Star(0)])
     h = lambda x: (P.beta * x + 1) / (x + P.gamma)
     field_1, field_2 = P.mu * h(P.mu) ** 2, P.mu
     assert gadget_field(tree, P) == pytest.approx(P.mu * h(field_1) * h(field_2), rel=1e-14)
@@ -77,9 +77,9 @@ def test_materialize_shapes():
     assert g.n == 4 and len(g.edges) == 3 and g.output is not None
     assert g.degrees()[g.output] == 3
     assert materialize(DaryTree(2, 2), P).n == 7
-    fig = materialize(comb([Star(5), Star(5)]), P)
+    fig = materialize(Comb([Star(5), Star(5)]), P)
     assert fig.n == 13  # root + 2 centres + 10 leaves
-    assert tree_size(comb([Star(5), Star(5)])) == 13
+    assert tree_size(Comb([Star(5), Star(5)])) == 13
     assert all(f == P.mu for _, f in fig.vertices)
 
 
@@ -87,7 +87,7 @@ def test_tree_size_closed_forms():
     assert tree_size(Star(7)) == 8
     assert tree_size(DaryTree(1, 9)) == 10
     assert tree_size(DaryTree(3, 4)) == (3 ** 5 - 1) // 2
-    assert tree_size(comb([Star(2), DaryTree(2, 1)])) == 1 + 3 + 3
+    assert tree_size(Comb([Star(2), DaryTree(2, 1)])) == 1 + 3 + 3
 
 
 def test_materialize_capacity():
@@ -133,7 +133,7 @@ def test_float_elimination_on_a_large_materialised_tree():
 
 def test_exact_elimination_on_a_large_materialised_gadget():
     pe = SpinParams(Fraction(4, 5), Fraction(2), Fraction(40))
-    gadget = comb([DaryTree(2, 8), DaryTree(3, 5), Star(7)])
+    gadget = Comb([DaryTree(2, 8), DaryTree(3, 5), Star(7)])
     graph = materialize(gadget, pe)
     assert graph.n == 1 + 511 + 364 + 8
     assert effective_field(graph, pe) == gadget_field(gadget, pe)
@@ -182,12 +182,12 @@ def test_memoised_evaluation_is_linear_in_depth():
     assert val == pytest.approx(solve_mu_star(RecursionParams(P, 1)), rel=1e-9)
     # shared subtrees evaluate once: a comb of deep trees stays fast
     start = time.perf_counter()
-    gadget_field(comb([DaryTree(2, 40)] * 30), P)
+    gadget_field(Comb([DaryTree(2, 40)] * 30), P)
     assert time.perf_counter() - start < 0.5
 
 
 def test_gadget_json_round_trip():
-    tree = comb([Star(4), DaryTree(2, 3), comb([Star(0), DaryTree(1, 5)])])
+    tree = Comb([Star(4), DaryTree(2, 3), Comb([Star(0), DaryTree(1, 5)])])
     doc = gadget_to_json(tree)
     assert doc["kind"] == "comb"
     assert gadget_from_json(doc) == tree

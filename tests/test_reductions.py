@@ -283,6 +283,23 @@ def test_contract_exact_certificate():
     assert cert.scale == Fraction(16)
 
 
+def test_contract_all_int_input_is_exact():
+    # ints lift to Fractions as in every other reduction: b keeps
+    # 3 * (3/4)**2 exactly, and the certificate is checked with ==, so a scale
+    # off by 10**-30 fails where a float compare would pass it
+    p = SpinParams(1, 2, 3)
+    g = FieldedGraph({"a": 2, "b": 3, "c": 2}, [("a", "b"), ("b", "c")])
+    core, scale = contract_degree_one(g, p)
+    assert core.field_map == {"b": Fraction(27, 16)}
+    assert type(core.field_map["b"]) is Fraction and type(scale) is Fraction
+    assert scale == 16
+    assert partition_function(g, p) == scale * partition_function(core, p) == Fraction(43)
+    cert = contract_certificate(g, p)
+    assert verify_reduction(cert).verified
+    off = dataclasses.replace(cert, scale=cert.scale + Fraction(1, 10 ** 30))
+    assert verify_reduction(off).verified is False
+
+
 def _round_peel(graph, p):
     """Reference peel: degrees recounted every round, and each pendant's edge
     found by scanning the whole edge list (quadratic, but plainly correct)."""
