@@ -28,17 +28,23 @@ from .errors import CapacityError, DomainError, NumericError
 from .gadgets import gadget_to_json, materialize, star_convergence, tree_convergence
 from .instances import random_bipartite_graph, random_graph
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
-                        solve_mu_star, uniqueness_threshold)
+                        mu_star_bracket, solve_mu_star, uniqueness_threshold)
 from .serialize import SCHEMA_VERSION, dump_csv, dump_json, exact_str
+
+
+def finite_float(text: str) -> float:
+    """The type of every float flag (argparse names it when it refuses a value):
+    a float other than inf and nan."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
 
 
 def _scalar(text: str, mode: str):
     """Parse a finite numeric flag; rational mode keeps it exact."""
     try:
-        x = Fraction(text) if mode == "rational" else float(text)
-        if isinstance(x, float) and not math.isfinite(x):
-            raise ValueError(text)
-        return x
+        return Fraction(text) if mode == "rational" else finite_float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a number: {text!r}") from exc
 
@@ -90,14 +96,6 @@ def _emit(args, doc, command: bool = True) -> None:
         _write(args.output, doc)
 
 
-def _verdict(ok: bool, failure: str) -> int:
-    """Exit code 0, or 4 after reporting the failed check on stderr."""
-    if ok:
-        return 0
-    print(f"error: {failure}", file=sys.stderr)
-    return 4
-
-
 def _float(x, what: str) -> float:
     """x as a float; an exact x beyond the float range is a NumericError."""
     try:
@@ -142,14 +140,12 @@ def cmd_eval(args) -> int:
 
 def cmd_fixpoint(args) -> int:
     rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
-    mu_star = solve_mu_star(rp, rel_tol=args.tol)
+    mu_star = solve_mu_star(rp, rel_tol=args.tol)  # raises when outside the bracket
     consts = decay_constants(rp)
-    lower = args.mu / args.gamma ** args.d
-    upper = args.beta ** args.d * args.mu
-    ok = lower < mu_star < upper
+    lower, upper = mu_star_bracket(rp)
     _emit(args, {**asdict(consts), "mu_star": mu_star,
-                 "bracket": {"lower": lower, "upper": upper, "ok": ok}})
-    return _verdict(ok, "fixed point escaped its a-priori bracket")
+                 "bracket": {"lower": lower, "upper": upper, "ok": True}})
+    return 0
 
 
 def _level_doc(rec) -> dict:
@@ -169,7 +165,10 @@ def cmd_construct(args) -> int:
     if args.materialize:
         graph = materialize(report.gadget, params, limit=args.materialize_limit)
         _write(args.materialize, dump_json(graph_to_json(graph, params)))
-    return _verdict(within, "constructed gadget violates its error bound")
+    if within:
+        return 0
+    print("error: constructed gadget violates its error bound", file=sys.stderr)
+    return 4
 
 
 def cmd_thresholds(args) -> int:
@@ -297,7 +296,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser: one row per subcommand, name -> (handler, help, description, flags)
 
-_FLOAT = {"type": float, "required": True}
+_FLOAT = {"type": finite_float, "required": True}
 _D = {"type": int, "required": True}
 _MODE = {"choices": ["float", "rational"], "default": "float",
          "help": "rational mode evaluates exactly (Fraction/Quad)"}
@@ -313,12 +312,12 @@ COMMANDS = {
         "--output": _OUTPUT, "--mode": _MODE, "--enum-limit": _ENUM_LIMIT}),
     "fixpoint": (cmd_fixpoint, "largest fixed point and decay constants", None, {
         "--beta": _FLOAT, "--gamma": _FLOAT, "--mu": _FLOAT, "--d": _D,
-        "--tol": {"type": float, "default": 1e-12},
+        "--tol": {"type": finite_float, "default": 1e-12},
         "--output": _OUTPUT}),
     "construct": (cmd_construct, "build and certify a target-field gadget", None, {
         "--beta": _FLOAT, "--gamma": _FLOAT, "--mu": _FLOAT, "--d": _D,
         "--ell": {"type": int, "required": True, "help": "recursion depth"},
-        "--target": {"type": float, "required": True,
+        "--target": {"type": finite_float, "required": True,
                      "help": "field in (0, mu_star] to realise"},
         "--emit-gadget": {"help": "write the gadget JSON here"},
         "--materialize": {"help": "write the materialised graph JSON here"},
@@ -352,7 +351,8 @@ COMMANDS = {
         "CSV columns -- " + " | ".join(f"{kind}: {columns}"
                                        for kind, columns in SWEEP_COLUMNS.items()), {
             "--kind": {"required": True, "choices": list(SWEEP_COLUMNS)},
-            "--beta": {"type": float}, "--gamma": {"type": float}, "--mu": {"type": float},
+            "--beta": {"type": finite_float}, "--gamma": {"type": finite_float},
+            "--mu": {"type": finite_float},
             "--d": {"type": int, "default": 1},
             "--w-max": {"type": int, "default": 20},
             "--t-max": {"type": int, "default": 20},
@@ -360,8 +360,8 @@ COMMANDS = {
             "--targets": {"type": int, "default": 20},
             "--delta-reg": {"type": int, "default": 4,
                             "help": "tree degree for the uniqueness sweep"},
-            "--beta-min": {"type": float, "default": 0.05},
-            "--beta-max": {"type": float, "default": 0.45},
+            "--beta-min": {"type": finite_float, "default": 0.05},
+            "--beta-max": {"type": finite_float, "default": 0.45},
             "--steps": {"type": int, "default": 9},
             "--output": _OUTPUT}),
 }

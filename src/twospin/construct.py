@@ -31,7 +31,7 @@ from typing import Optional
 from .errors import DomainError, InvariantViolation
 from .gadgets import Comb, DaryTree, GadgetTree, Star, gadget_field, tree_size
 from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
-                        decay_constants, edge_ratio, invert_edge_ratio)
+                        decay_constants, edge_ratio, invert_edge_ratio, least_integer)
 
 _REL_SLACK = 1e-9
 
@@ -82,12 +82,8 @@ class ConstructReport:
 
 def _power_bracket(base: float, ratio: float, target: float) -> int:
     """Largest integer k with target <= base * ratio**k, for 0 < ratio < 1."""
-    k = math.floor(math.log(target / base) / math.log(ratio))
-    while base * ratio ** k < target:
-        k -= 1
-    while base * ratio ** (k + 1) >= target:
-        k += 1
-    return k
+    return least_integer(lambda k: base * ratio ** k < target,
+                         math.log(target / base) / math.log(ratio), -math.inf) - 1
 
 
 def _branch_star_w(ell: int, rp: RecursionParams, C: DecayConstants) -> int:
@@ -96,11 +92,7 @@ def _branch_star_w(ell: int, rp: RecursionParams, C: DecayConstants) -> int:
     mu = float(p.mu)
     cap = C.alpha ** ell / rp.d
     hmu = edge_ratio(mu, p)
-    w = max(0, math.ceil(math.log(cap / mu) / math.log(hmu)))
-    while mu * hmu ** w > cap:
-        w += 1
-    while w > 0 and mu * hmu ** (w - 1) <= cap:
-        w -= 1
+    w = least_integer(lambda w: mu * hmu ** w <= cap, math.log(cap / mu) / math.log(hmu), 0)
     if p.beta < 1:
         w_pub = math.floor((ell * math.log(C.alpha) - math.log(rp.d * mu))
                            / math.log(p.beta)) + 1
@@ -137,12 +129,8 @@ def _cutoff_star_w(delta: float, rp: RecursionParams) -> int:
     mu, gamma = float(p.mu), float(p.gamma)
     if not mu > delta:
         raise InvariantViolation(f"cutoff {delta} is not below mu={mu}")
-    w = max(0, math.ceil(math.log(mu / delta) / math.log(gamma)) - 1)
-    while mu * gamma ** -(w + 1) > delta:
-        w += 1
-    while w > 0 and not mu * gamma ** -w > delta:
-        w -= 1
-    return w
+    return least_integer(lambda w: not mu * gamma ** -w > delta,
+                         math.log(mu / delta) / math.log(gamma), 1) - 1
 
 
 def _construct(ell: int, target: float, rp: RecursionParams,
@@ -199,20 +187,15 @@ def _construct(ell: int, target: float, rp: RecursionParams,
 
     delta = _cutoff_delta(ell, rp, C)
     if mu_hat_prime <= delta:
-        w = _cutoff_star_w(delta, rp)
-        tail: GadgetTree = Star(w)
-        rec = LevelRecord(ell=ell, k=k, mu_values=tuple(mu_values),
-                          branches=tuple(branches), delta=delta,
-                          mu_hat_prime=mu_hat_prime, terminal="cutoff-star",
-                          terminal_w=w)
-        return Comb(tuple(singletons + [b.gadget for b in branches] + [tail])), [rec]
-
-    child_tree, child_recs = _construct(ell - 1, mu_hat_prime, rp, C)
+        terminal, w = "cutoff-star", _cutoff_star_w(delta, rp)
+        tail, below = Star(w), []
+    else:
+        terminal, w = "recurse", None
+        tail, below = _construct(ell - 1, mu_hat_prime, rp, C)
     rec = LevelRecord(ell=ell, k=k, mu_values=tuple(mu_values),
                       branches=tuple(branches), delta=delta,
-                      mu_hat_prime=mu_hat_prime, terminal="recurse", terminal_w=None)
-    tree = Comb(tuple(singletons + [b.gadget for b in branches] + [child_tree]))
-    return tree, [rec] + child_recs
+                      mu_hat_prime=mu_hat_prime, terminal=terminal, terminal_w=w)
+    return Comb(tuple(singletons + [b.gadget for b in branches] + [tail])), [rec] + below
 
 
 def _prepare(ell: int, target: float, rp: RecursionParams,

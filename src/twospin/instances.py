@@ -13,15 +13,15 @@ from .core import FieldedGraph
 
 
 MAX_DEGREE = 5
+MAX_VERTICES = 12
 
 
-def random_bipartite_graph(rng: random.Random, max_vertices: int = 12
-                           ) -> tuple[FieldedGraph, list]:
+def random_bipartite_graph(rng: random.Random) -> tuple[FieldedGraph, list]:
     """Simple bipartite graph of degree at most MAX_DEGREE; returns (graph, left ids).
 
     Fields are placeholder 1s; transforms overwrite them.
     """
-    n = rng.randint(2, max_vertices)
+    n = rng.randint(2, MAX_VERTICES)
     n_left = rng.randint(1, n - 1)
     n_right = n - n_left
     left = [f"l{i}" for i in range(n_left)]
@@ -42,9 +42,9 @@ def random_bipartite_graph(rng: random.Random, max_vertices: int = 12
     return FieldedGraph(vertices, tuple(edges)), left
 
 
-def random_graph(rng: random.Random, max_vertices: int = 12, field=1) -> FieldedGraph:
+def random_graph(rng: random.Random, field=1) -> FieldedGraph:
     """General multigraph with uniform fields; may include loops/parallel edges."""
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(1, MAX_VERTICES)
     ids = [f"v{i}" for i in range(n)]
     p_edge = rng.uniform(0.15, 0.5)
     edges = []

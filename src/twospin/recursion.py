@@ -104,6 +104,17 @@ def contraction_bound(p: SpinParams) -> float:
     return (s - 1) / (s + 1)
 
 
+def least_integer(holds, guess: float, lo) -> int:
+    """Least integer k >= lo with holds(k), where holds is false below some
+    integer and true from it on; the search steps from ceil(guess)."""
+    k = max(lo, math.ceil(guess))
+    while not holds(k):
+        k += 1
+    while k > lo and holds(k - 1):
+        k -= 1
+    return k
+
+
 def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12) -> list:
     """Iterates x0 = mu, x_{i+1} = level_map(x_i), run to relative stagnation.
 
@@ -126,17 +137,20 @@ def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12) -> list:
 def solve_mu_star(rp: RecursionParams, rel_tol: float = 1e-12):
     """Largest fixed point of the level map, via the monotone iteration.
 
-    The result is validated against the a-priori bracket
-    mu/gamma**d < mu_star < beta**d * mu.
+    The result is validated against the a-priori bracket of `mu_star_bracket`.
     """
     return _bracketed(fixed_point_iterates(rp, rel_tol)[-1], rp)
 
 
-def _bracketed(mu_star, rp: RecursionParams):
-    """mu_star, after checking mu/gamma**d < mu_star < beta**d * mu."""
+def mu_star_bracket(rp: RecursionParams) -> tuple:
+    """(mu/gamma**d, beta**d * mu): the open interval that holds mu_star."""
     p = rp.params
-    lo = p.mu / p.gamma ** rp.d
-    hi = p.beta ** rp.d * p.mu
+    return p.mu / p.gamma ** rp.d, p.beta ** rp.d * p.mu
+
+
+def _bracketed(mu_star, rp: RecursionParams):
+    """mu_star, after checking it lies inside `mu_star_bracket`."""
+    lo, hi = mu_star_bracket(rp)
     if not (lo < mu_star < hi):
         raise NumericError(
             f"fixed point {mu_star} escaped the bracket ({lo}, {hi})")
@@ -170,13 +184,11 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
     c = (g_star + 1) / 2
 
     peak = math.sqrt(p.gamma / p.beta)
-    eta = mu_star / 2
-    for _ in range(200):
-        if contraction_rate(min(max(peak, mu_star - eta), mu_star + eta), rp) <= c:
-            break
-        eta /= 2
-    else:
-        raise NumericError("could not certify a contraction window around the fixed point")
+
+    def certified(j):  # the window of half-width mu_star/2**j
+        eta = mu_star / 2 ** j
+        return contraction_rate(min(max(peak, mu_star - eta), mu_star + eta), rp) <= c
+    eta = mu_star / 2 ** least_integer(certified, 1, 1)
 
     t0 = 0
     while t0 < len(iterates) and not iterates[t0] < mu_star + eta:
@@ -185,8 +197,7 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
         raise NumericError("iteration never entered the contraction window")
 
     iota = max(math.log(float(p.mu)), eta * c ** (-t0))
-    horizon = min(len(iterates), _IOTA_CHECK_HORIZON)
-    for t in range(min(t0 + 1, horizon)):
+    for t in range(min(t0 + 1, _IOTA_CHECK_HORIZON)):
         gap = math.log(iterates[t] / mu_star)
         if gap > c ** t * iota:
             iota = gap / c ** t
@@ -197,54 +208,40 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
 # ---------------------------------------------------------------------------
 # thresholds
 
+def _in_float_range(what: str, compute):
+    """compute(), or a NumericError naming `what` when it leaves the float range."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericError(f"{what} overflows a float")
+    return value
+
+
 def uniqueness_threshold(beta: float, degree: int) -> float:
     """Critical field mu_c > 1 for the antiferromagnetic Ising tree recursion.
 
-    The recursion x -> mu * ((beta*x + 1)/(x + beta))**(degree-1) on the
-    degree-regular tree has a unique *stable* fixed point iff
-    |log mu| >= log mu_c.  mu_c is found by bisection on the stability
-    |F'(fix)| <= 1 of the (unique) fixed point of the decreasing map.
+    The recursion x -> mu * ((beta*x + 1)/(x + beta))**b with b = degree - 1
+    has a unique *stable* fixed point iff |log mu| >= log mu_c.  The slope at
+    a fixed point x has size b(1-beta**2) x / ((beta x + 1)(x + beta)), which
+    falls through 1 at the tangency root x > 1 of
+    beta x**2 + (1 + beta**2 - b(1-beta**2)) x + beta = 0; mu_c is the field
+    whose fixed point that root is, x * ((x + beta)/(beta x + 1))**b.
     """
     if degree < 3:
         raise DomainError("degree must be at least 3")
     if not 0 < beta < (degree - 1) / (degree + 1):
         raise DomainError("requires 0 < beta < (degree-1)/(degree+1)")
     b = degree - 1
-
-    def fixed_point(mu: float) -> float:
-        lo = mu * beta ** b
-        hi = mu * beta ** (-b)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mu * ((beta * mid + 1) / (mid + beta)) ** b > mid:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def stability(mu: float) -> float:
-        x = fixed_point(mu)
-        return b * (1 - beta * beta) * x / ((beta * x + 1) * (x + beta))
-
-    if stability(1.0) <= 1:
+    if b * (1 - beta) <= 1 + beta:  # slope at most 1 at the mu = 1 fixed point x = 1
         raise DomainError(
             "fixed point already stable at mu = 1 for this (beta, degree) "
             "under branching degree-1; no threshold above 1 exists")
-    hi = 2.0
-    for _ in range(200):
-        if stability(hi) < 1:
-            break
-        hi *= 2
-    else:
-        raise NumericError("could not bracket the stability transition")
-    lo = 1.0
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if stability(mid) < 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    coeff = 1 + beta * beta - b * (1 - beta * beta)
+    x = (-coeff + math.sqrt(coeff * coeff - 4 * beta * beta)) / (2 * beta)
+    return _in_float_range("the uniqueness threshold mu_c",
+                           lambda: x * ((x + beta) / (beta * x + 1)) ** b)
 
 
 @dataclass(frozen=True)
@@ -278,12 +275,8 @@ def min_arity(p: SpinParams) -> int:
     bg = p.beta * p.gamma
     if not bg > 1:
         raise DomainError("requires beta*gamma > 1")
-    d = 1
-    while not p.beta * bg ** d > 1:
-        d += 1
-        if d > 10 ** 6:
-            raise NumericError("no feasible arity found")
-    return d
+    return least_integer(lambda d: p.beta * bg ** d > 1,
+                         -math.log(p.beta) / math.log(bg), 1)
 
 
 def construction_field_bound(p: SpinParams, d: int) -> float:
@@ -306,12 +299,13 @@ def hardness_thresholds(p: SpinParams, d: int | None = None) -> HardnessThreshol
     if not beta * gamma > 1:
         raise DomainError("requires a ferromagnetic system (beta*gamma > 1)")
     s = math.sqrt(beta * gamma)
-    Delta = math.floor((s + 1) / (s - 1)) + 1
+    Delta = _in_float_range("Delta", lambda: math.floor((s + 1) / (s - 1)) + 1)
     if d is None:
         d = min_arity(p)
-    local = (gamma / beta) ** (Delta / 2)
+    local = _in_float_range("mu_bound_local_fields", lambda: (gamma / beta) ** (Delta / 2))
     if beta <= 1:
-        uniform = gamma ** d * max(local, construction_field_bound(p, d) / gamma ** d)
+        uniform = _in_float_range("mu_bound_uniform", lambda: gamma ** d * max(
+            local, construction_field_bound(p, d) / gamma ** d))
         return HardnessThresholds(Delta, d, local, uniform, None,
                                   note=_UNIFORM_BOUND_NOTE)
     return HardnessThresholds(Delta, d, local, None, (gamma - 1) / (beta - 1))

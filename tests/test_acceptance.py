@@ -35,7 +35,7 @@ def test_criterion_1_bipartite_identity():
     mu_primes = [Fraction("1.01"), Fraction("1.1"), Fraction(2)]
     rng = random.Random(SEED)
     for i in range(200):
-        graph, left = random_bipartite_graph(rng, max_vertices=12)
+        graph, left = random_bipartite_graph(rng)
         beta, gamma = combos[i % 3]
         mu_p = mu_primes[(i // 3) % 3]
 
@@ -67,7 +67,7 @@ def test_criterion_2_contraction_ising_pipeline():
     for i in range(200):
         beta, gamma = combos[i % 3]
         mu = gamma / beta
-        graph = random_graph(rng, max_vertices=12, field=mu)
+        graph = random_graph(rng, field=mu)
         cert = ising_pipeline(graph, SpinParams(beta, gamma, mu))
         cert = verify_reduction(cert)
         assert cert.verified, f"pipeline identity failed on instance {i}"

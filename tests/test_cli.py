@@ -178,13 +178,38 @@ def test_fixpoint_rejects_non_ferromagnetic(capsys):
     assert code == 2
 
 
-def test_fixpoint_bracket_violation_exit_code(capsys, monkeypatch):
-    # the solver self-validates, so force a bogus value through the CLI check
-    import twospin.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "solve_mu_star", lambda rp, rel_tol: 999.0)
-    code, _ = run(capsys, ["fixpoint", "--beta", "1", "--gamma", "2",
-                           "--mu", "20", "--d", "1"])
-    assert code == 4
+@pytest.mark.parametrize("argv", [
+    "fixpoint --beta 1 --gamma 2 --mu {x} --d 1",
+    "fixpoint --beta 1 --gamma 2 --mu 20 --d 1 --tol {x}",
+    "construct --beta 1 --gamma 2 --mu 20 --d 1 --ell 2 --target {x}",
+    "thresholds --beta {x} --gamma 2",
+    "sweep --kind star --beta 1 --gamma 2 --mu {x} --w-max 2",
+    "sweep --kind uniqueness --beta-max {x}",
+])
+@pytest.mark.parametrize("value", ["inf", "nan", "abc"])
+def test_float_flags_refuse_non_finite_values(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.format(x=value).split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid finite_float value: '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    ("thresholds --beta 0.5 --gamma 2.0001", "mu_bound_local_fields"),
+    ("thresholds --beta 1e-300 --gamma 1.0001e300", "mu_bound_local_fields"),
+    ("thresholds --beta 1 --gamma 2 --d 2000", "mu_bound_uniform"),
+    ("thresholds --beta 1 --gamma 1.0000000000000002", "Delta"),
+    ("sweep --kind uniqueness --beta-min 1e-200 --beta-max 2e-200 --steps 1",
+     "the uniqueness threshold mu_c"),
+])
+def test_threshold_overflow_is_a_numeric_error(capsys, argv, quantity):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"numeric error: {quantity} overflows a float\n"
 
 
 def test_construct_with_artifacts(tmp_path, capsys):

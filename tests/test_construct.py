@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from twospin import (DomainError, InvariantViolation, RecursionParams, SpinParams,
+from twospin import (DecayConstants, DomainError, InvariantViolation, RecursionParams,
+                     SpinParams,
                      Star, certify, construct, decay_constants, edge_ratio,
                      gadget_field, invert_edge_ratio, solve_mu_star)
-from twospin.construct import _cutoff_delta, _residual_window
+from twospin.construct import (_branch_star_w, _cutoff_delta, _cutoff_star_w,
+                               _power_bracket, _residual_window)
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 C = decay_constants(RP)
@@ -31,6 +33,26 @@ def test_base_case_star_bracket():
     assert abs(rep.log_error) <= math.log(2.0)
     assert rep.size == 15  # k + 1 vertices
     assert rep.bound == pytest.approx(math.log(2.0), rel=1e-12)
+
+
+def test_integer_searches_keep_their_strictness():
+    # each search's comparison at exact float equality, and one ulp either side
+    below, above = math.nextafter(2.0, 0), math.nextafter(2.0, 3)
+    # largest k with target <= 8 * 0.5**k: equality counts
+    assert _power_bracket(8.0, 0.5, 2.0) == 2
+    assert _power_bracket(8.0, 0.5, above) == 1
+    assert _power_bracket(8.0, 0.5, below) == 2
+    assert _power_bracket(8.0, 0.5, 64.0) == -3
+    # edge_ratio(3) = 4/8 = 1/2 at (1, 5, 3); least w with 3 * 0.5**w <= cap
+    rp = RecursionParams(SpinParams(1.0, 5.0, 3.0), 1)
+    for cap, w in ((0.75, 2), (math.nextafter(0.75, 1), 2), (math.nextafter(0.75, 0), 3)):
+        consts = DecayConstants(alpha=cap, c=0.5, eta=1.0, iota=1.0, t0=0, mu_star=1.0)
+        assert _branch_star_w(1, rp, consts) == w
+    # largest w with 3 * 4**-w > delta: equality does not count
+    rp = RecursionParams(SpinParams(1.0, 4.0, 3.0), 1)
+    assert _cutoff_star_w(0.1875, rp) == 1
+    assert _cutoff_star_w(math.nextafter(0.1875, 0), rp) == 2
+    assert _cutoff_star_w(2.9, rp) == 0
 
 
 def test_check_invariant_boundaries():

@@ -11,13 +11,13 @@ import random
 import numpy as np
 import pytest
 
-from twospin import (DecayConstants, DomainError, RecursionParams, SpinParams,
+from twospin import (DecayConstants, DomainError, NumericError, RecursionParams, SpinParams,
                      construction_field_bound, contraction_bound,
                      decay_constants, edge_contraction,
                      edge_ratio, hardness_thresholds,
                      invert_edge_ratio, level_map, min_arity, solve_mu_star,
                      uniqueness_threshold)
-from twospin.recursion import contraction_rate, fixed_point_iterates
+from twospin.recursion import contraction_rate, fixed_point_iterates, least_integer
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 MU_STAR_CLOSED = 9 + math.sqrt(101)  # root of x^2 - 18x - 20
@@ -251,12 +251,37 @@ def test_uniqueness_threshold_frozen_oracle_value():
     # oracle: dense scan of the two-step map + bisection gave 325.676929...;
     # tangency closed form (root of 0.2 x^2 - 1.84 x + 0.2) gives 325.676929472402
     mu_c = uniqueness_threshold(0.2, 4)
-    assert mu_c == pytest.approx(325.676929472402, rel=1e-6)
+    assert mu_c == pytest.approx(325.676929472402, rel=1e-12)
     b, branching = 0.2, 3
     coeff = 1 + b * b - branching * (1 - b * b)
     xp = (-coeff + math.sqrt(coeff * coeff - 4 * b * b)) / (2 * b)
     closed = xp / ((b * xp + 1) / (xp + b)) ** branching
-    assert mu_c == pytest.approx(closed, rel=1e-8)
+    assert mu_c == pytest.approx(closed, rel=1e-12)
+
+
+def _slope_at_fixed_point(mu, beta, branching):
+    """|F'(x)| at the fixed point of F(x) = mu*((beta x + 1)/(x + beta))**branching,
+    found by bisection: F decreases, so F(x) - x has one sign change."""
+    lo, hi = mu * beta ** branching, mu / beta ** branching
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mu * ((beta * mid + 1) / (mid + beta)) ** branching > mid:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    # d/dx of mu*r**branching with r = (beta x + 1)/(x + beta), r' = (beta**2 - 1)/(x + beta)**2
+    r = (beta * x + 1) / (x + beta)
+    return mu * branching * r ** (branching - 1) * (1 - beta * beta) / (x + beta) ** 2
+
+
+@pytest.mark.parametrize("beta, degree", [(0.2, 4), (0.1, 3), (0.3, 5), (0.45, 6), (0.05, 10)])
+def test_uniqueness_threshold_is_where_the_fixed_point_turns_stable(beta, degree):
+    # independent of the tangency formula: the slope of the map at its
+    # bisected fixed point crosses 1 within a relative 1e-9 of mu_c
+    mu_c = uniqueness_threshold(beta, degree)
+    assert _slope_at_fixed_point(mu_c * (1 - 1e-9), beta, degree - 1) > 1
+    assert _slope_at_fixed_point(mu_c * (1 + 1e-9), beta, degree - 1) < 1
 
 
 def test_uniqueness_threshold_exceeds_one():
@@ -306,3 +331,37 @@ def test_min_arity_and_field_bound():
     bound = construction_field_bound(SpinParams(1.0, 2.0, 1.0), 1)
     assert bound == pytest.approx(2 + 4 / math.log(2), rel=1e-12)  # 7.77078...
     assert bound == pytest.approx(7.7707801635558534, rel=1e-12)
+
+
+def test_min_arity_is_strict_and_uncapped():
+    # beta*(beta*gamma)**d > 1 is strict: 0.5 * 2**1 == 1 does not count
+    assert min_arity(SpinParams(0.5, 4.0, 1.0)) == 2
+    assert min_arity(SpinParams(0.25, 8.0, 1.0)) == 3  # 0.25 * 2**2 == 1
+    p = SpinParams(0.5, 2.0000002, 1.0)  # beta*gamma = 1 + 1e-7: d near ln 2 / 1e-7
+    d = min_arity(p)
+    bg = p.beta * p.gamma
+    assert d > 10 ** 6
+    assert p.beta * bg ** d > 1 and not p.beta * bg ** (d - 1) > 1
+
+
+def test_least_integer_steps_from_any_guess():
+    for guess in (-50.5, 0.0, 6.2, 7.0, 1e4):
+        assert least_integer(lambda k: k * k >= 49, guess, 0) == 7
+        assert least_integer(lambda k: k >= -3, guess, -math.inf) == -3
+    assert least_integer(lambda k: True, 5.0, 2) == 2  # never below lo
+
+
+@pytest.mark.parametrize("beta, gamma, d, quantity", [
+    (0.5, 2.0001, None, "mu_bound_local_fields"),
+    (1e-300, 1.0001e300, None, "mu_bound_local_fields"),  # min_arity is about 6.9e6
+    (1.0, 1.0000000000000002, None, "Delta"),  # sqrt(beta*gamma) rounds to 1
+    (1.0, 2.0, 2000, "mu_bound_uniform"),
+])
+def test_hardness_thresholds_overflow_is_a_numeric_error(beta, gamma, d, quantity):
+    with pytest.raises(NumericError, match=f"^{quantity} overflows a float$"):
+        hardness_thresholds(SpinParams(beta, gamma, 1.0), d=d)
+
+
+def test_uniqueness_threshold_overflow_is_a_numeric_error():
+    with pytest.raises(NumericError, match="mu_c overflows a float"):
+        uniqueness_threshold(1.5e-200, 4)

@@ -107,7 +107,7 @@ def test_bipartite_rejects_bad_input():
 def test_bipartite_random_exact_sample():
     rng = random.Random(1001)
     for _ in range(25):
-        g, left = random_bipartite_graph(rng, max_vertices=10)
+        g, left = random_bipartite_graph(rng)
         cert = bipartite_transform(g, Fraction(101, 100),
                                    SpinParams(Fraction(4, 5), Fraction(2), 1), left=left)
         assert verify_reduction(cert).verified
@@ -266,7 +266,7 @@ def test_contract_star_collapses_to_centre():
 def test_contract_preserves_z_on_random_graphs():
     rng = random.Random(77)
     for _ in range(25):
-        g = random_graph(rng, max_vertices=9, field=2.0)
+        g = random_graph(rng, field=2.0)
         core, scale = contract_degree_one(g, P_C)
         assert partition_function(g, P_C) == pytest.approx(
             scale * partition_function(core, P_C), rel=1e-10)
@@ -427,7 +427,7 @@ def test_pipeline_on_random_graphs_exact():
     for _ in range(20):
         beta, gamma = Fraction(4, 5), Fraction(2)
         mu = gamma / beta
-        g = random_graph(rng, max_vertices=9, field=mu)
+        g = random_graph(rng, field=mu)
         cert = ising_pipeline(g, SpinParams(beta, gamma, mu))
         assert verify_reduction(cert).verified
         assert all(f <= 1 for _, f in cert.output.graph.vertices)
