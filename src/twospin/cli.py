@@ -266,6 +266,10 @@ SWEEP_COLUMNS = {
 
 
 def cmd_sweep(args) -> int:
+    for flag in ("w_max", "t_max", "ell_max", "targets", "steps"):
+        if getattr(args, flag) < 0:
+            raise DomainError(f"--{flag.replace('_', '-')} must be >= 0, "
+                              f"got {getattr(args, flag)}")
     if args.kind == "uniqueness":
         rows = []
         for i in range(args.steps):

@@ -29,10 +29,12 @@ tables are numpy arrays; the engine imports numpy.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Mapping, Optional
 
 from .errors import CapacityError, DomainError, NumericError
@@ -43,6 +45,18 @@ ENUM_LIMIT = 24
 
 def _positive(x) -> bool:
     return x > 0
+
+
+def _pairs(items) -> tuple:
+    """``items`` as a tuple of 2-tuples; a non-pair raises as unpacking it does."""
+    items = tuple(items)
+    try:
+        pairs = tuple(map(tuple, items))
+        if set(map(len, pairs)) <= {2}:
+            return pairs
+    except TypeError:  # an item that is not iterable
+        pairs = items
+    return tuple((a, b) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -81,14 +95,23 @@ class FieldedGraph:
 
     def __post_init__(self):
         verts = self.vertices
-        if isinstance(verts, Mapping):
-            verts = tuple(verts.items())
-        else:
-            verts = tuple((v, f) for v, f in verts)
-        edges = tuple((u, v) for u, v in self.edges)
+        verts = tuple(verts.items()) if isinstance(verts, Mapping) else _pairs(verts)
+        edges = _pairs(self.edges)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", edges)
 
+        # every check at C speed; only a failing graph runs the loop below,
+        # which names the first offender
+        try:
+            fmap = dict(verts)
+            if (len(fmap) == len(verts)
+                    and all(map(operator.gt, fmap.values(), repeat(0)))
+                    and all(map(fmap.__contains__, chain.from_iterable(edges)))
+                    and (self.output is None or self.output in fmap)):
+                self.__dict__["field_map"] = fmap
+                return
+        except TypeError:  # an unhashable id or an unordered field
+            pass
         seen = set()
         for v, f in verts:
             if v in seen:
@@ -401,9 +424,8 @@ def graph_from_json(doc: Mapping) -> tuple[FieldedGraph, SpinParams]:
     evaluation only reads the per-vertex fields.
     """
     try:
-        verts = tuple((item["id"], item["field"]) for item in doc["vertices"])
-        edges = tuple((u, v) for u, v in doc["edges"])
-        graph = FieldedGraph(verts, edges, doc.get("output"))
+        verts = tuple(map(operator.itemgetter("id", "field"), doc["vertices"]))
+        graph = FieldedGraph(verts, doc["edges"], doc.get("output"))
         params = SpinParams(doc["beta"], doc["gamma"], 1)
     except DomainError:
         raise

@@ -32,7 +32,9 @@ class RecursionParams:
 
     Requires a ferromagnetic system with beta <= 1 and beta*(beta*gamma)**d > 1
     (so the level map has a nontrivial largest fixed point); systems with
-    beta > 1 are handled by the self-loop reduction instead.
+    beta > 1 are handled by the self-loop reduction instead.  A d at which
+    gamma**d, the largest power the recursion forms, overflows a float is a
+    NumericError.
     """
 
     params: SpinParams
@@ -46,6 +48,10 @@ class RecursionParams:
             raise DomainError("recursion requires beta <= 1; use the self-loop reduction for beta > 1")
         if self.d < 1:
             raise DomainError("arity d must be a positive integer")
+        try:
+            p.gamma ** self.d  # the largest power the recursion forms
+        except OverflowError:
+            raise NumericError("gamma**d overflows a float") from None
         if not p.beta * (p.beta * p.gamma) ** self.d > 1:
             raise DomainError("need beta*(beta*gamma)**d > 1")
 

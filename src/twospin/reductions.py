@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (ENUM_LIMIT, FieldedGraph, SpinParams, partition_function)
 from .errors import CapacityError, DomainError, NumericError
 from .exact import half_power, is_exact, sqrt_fraction
 from .gadgets import MATERIALIZE_LIMIT
-from .recursion import edge_ratio
 
 OUTPUT_FROM_INPUT = "output = scale * input"
 INPUT_FROM_OUTPUT = "input = scale * output"
@@ -262,9 +262,10 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
         raise DomainError("precision parameter m must be a positive integer")
 
     x, y = _least_loops_and_bristles(target, m, beta, gamma, mu)
-    vertices = [("v0", p.mu)] + [(f"b{i}", p.mu) for i in range(y)]
-    edges = [("v0", "v0")] * x + [("v0", f"b{i}") for i in range(y)]
-    gadget = FieldedGraph(tuple(vertices), tuple(edges), output="v0")
+    bristles = [f"b{i}" for i in range(y)]
+    vertices = (("v0", p.mu), *zip(bristles, repeat(p.mu)))
+    edges = (("v0", "v0"),) * x + tuple(zip(repeat("v0"), bristles))
+    gadget = FieldedGraph(vertices, edges, output="v0")
     achieved = mu * (beta / gamma) ** x * ((mu * beta + 1) / (mu + gamma)) ** y
     if achieved == 0.0:
         raise NumericError(f"the achieved field of x = {x} loops and y = {y} bristles "
@@ -287,18 +288,18 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
     end of a K2) is skipped.  The surviving edges keep their input order.
     beta, gamma and the fields are first lifted to one number type (`lift`).
 
-    Cost: O(|V| + |E| + sum of k log k over the rounds' k pendants), from
-    per-vertex incidence lists and degrees built once.
+    Cost: O(|V| + |E| + sum of k log k over the rounds' k pendants).  Each
+    vertex keeps its degree and the XOR of the ids of its live edges, so at
+    degree 1 that XOR is the id of its one edge, found without a scan.
     """
     beta, gamma, *values = lift(p.beta, p.gamma, *graph.field_map.values())
-    lifted = SpinParams(beta, gamma, p.mu)
     fields = dict(zip(graph.field_map, values))
     edges = graph.edges
-    incident: dict = {v: [] for v in fields}
+    deg = dict(Counter(chain.from_iterable(edges)))
+    link = dict.fromkeys(deg, 0)  # XOR of the ids of the live edges; a loop cancels
     for i, (a, b) in enumerate(edges):
-        incident[a].append(i)
-        incident[b].append(i)
-    deg = {v: len(inc) for v, inc in incident.items()}
+        link[a] ^= i
+        link[b] ^= i
     alive = [True] * len(edges)
     scale = 1
 
@@ -308,20 +309,21 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
         for u in pendants:
             if deg[u] != 1:
                 continue  # degree changed earlier in this round
-            i = next(i for i in incident[u] if alive[i])
+            i = link[u]
             a, b = edges[i]
             v = b if a == u else a
-            scale = scale * (fields[u] + gamma)
-            fields[v] = fields[v] * edge_ratio(fields[u], lifted)
-            del fields[u]
+            x = fields.pop(u)
+            scale = scale * (x + gamma)
+            fields[v] = fields[v] * ((beta * x + 1) / (x + gamma))  # edge_ratio(x)
             alive[i] = False
-            deg[u] -= 1
+            deg[u] = 0
             deg[v] -= 1
+            link[v] ^= i
             touched.append(v)
         pendants = sorted({v for v in touched if deg[v] == 1})
 
-    remaining = tuple((v, fields[v]) for v, _ in graph.vertices if v in fields)
-    kept = tuple(e for e, ok in zip(edges, alive) if ok)
+    remaining = tuple(fields.items())  # a dict keeps its keys in input order
+    kept = tuple(compress(edges, alive))
     out = graph.output if graph.output in fields else None
     return FieldedGraph(remaining, kept, out), scale
 

@@ -8,7 +8,14 @@ a command writes an exact value as a float plus its `exact_str`.
 ``dump_json`` walks the document once and writes the final text directly:
 the bytes equal those of ``json.dumps(..., sort_keys=True, indent=2) + "\\n"``
 on the rounded document, without building that copy or running the stdlib's
-pure-Python indenting encoder.
+pure-Python indenting encoder.  A list of same-shape records -- dicts with
+the first one's str keys, or arrays of the first one's length, each column
+scalars of one type, such as a graph's vertices and edges -- is written
+column by column through one %-template built from the sorted keys, with
+the same bytes.
+Each call keeps one memo of float texts for these columns, so a distinct
+nonzero float is formatted once (zeros each time: 0.0 == -0.0, but they
+print differently).
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import csv
 import io
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from operator import itemgetter
 
 from .exact import is_exact
 
@@ -52,7 +60,59 @@ _SCALARS = {
 }
 
 
-def _write(o, out: list, nl: str) -> None:
+_ARRAYS = {list, tuple}
+_RECORDS = {dict, list, tuple}
+
+
+class _FloatText(dict):
+    """Float -> JSON text, each distinct value formatted once; one per `dump_json` call."""
+
+    def __missing__(self, x):
+        text = _float(x)
+        if x:  # never a zero: 0.0 == -0.0, but they print differently
+            self[x] = text
+        return text
+
+
+def _rows(o, nl: str, floats: _FloatText) -> list | None:
+    """JSON text of each element of the list ``o`` at indent ``nl``, or None.
+
+    Written through one %-template when the elements are all dicts with the
+    first one's str keys, or all arrays of the first one's length, and each
+    column holds scalars of one type; any other list returns None.  The
+    first element's values are checked before any column is built, so a
+    list of nested elements costs next to nothing here.
+    """
+    first = o[0]
+    kinds, values = ({dict}, first.values()) if type(first) is dict else (_ARRAYS, first)
+    if (not first or not all(map(_SCALARS.__contains__, map(type, values)))
+            or not set(map(type, o)) <= kinds or set(map(len, o)) != {len(first)}):
+        return None
+    inner = nl + "  "
+    if kinds is _ARRAYS:
+        cols = list(zip(*o))
+        template = "[" + inner + ("," + inner).join(["%s"] * len(first)) + nl + "]"
+    else:
+        if set(map(type, first)) != {str}:
+            return None
+        keys = sorted(first)
+        try:
+            cols = [list(map(itemgetter(k), o)) for k in keys]
+        except KeyError:
+            return None
+        heads = ["," + inner + _quote(k).replace("%", "%%") + ": " for k in keys]
+        template = "{" + "%s".join(heads)[1:] + "%s" + nl + "}"
+    scalars = {**_SCALARS, float: floats.__getitem__}
+    texts = []
+    for col in cols:
+        types = set(map(type, col))
+        if len(types) != 1:  # one type, which the first row showed is a scalar
+            return None
+        texts.append(list(map(scalars[types.pop()], col)))
+    return list(map(template.__mod__, zip(*texts)))
+
+
+def _write(o, out: list, nl: str, floats: _FloatText) -> None:
     """Append the JSON text of ``o`` to ``out``; ``nl`` is its line's indent."""
     scalar = _SCALARS.get(type(o))
     if scalar is not None:
@@ -70,7 +130,7 @@ def _write(o, out: list, nl: str) -> None:
                 out.append(head + _quote(key) + ": " + scalar(value))
             else:
                 out.append(head + _quote(key) + ": ")
-                _write(value, out, inner)
+                _write(value, out, inner, floats)
             head = sep
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)):
@@ -79,13 +139,17 @@ def _write(o, out: list, nl: str) -> None:
             return
         inner = nl + "  "
         head, sep = "[" + inner, "," + inner
+        rows = _rows(o, inner, floats) if type(o[0]) in _RECORDS else None
+        if rows is not None:
+            out.append(head + sep.join(rows) + nl + "]")
+            return
         for value in o:
             scalar = _SCALARS.get(type(value))
             if scalar is not None:
                 out.append(head + scalar(value))
             else:
                 out.append(head)
-                _write(value, out, inner)
+                _write(value, out, inner, floats)
             head = sep
         out.append(nl + "]")
     elif isinstance(o, float):
@@ -101,7 +165,7 @@ def _write(o, out: list, nl: str) -> None:
 def dump_json(doc) -> str:
     """Deterministic JSON text of ``doc``, ending in a newline."""
     out: list[str] = []
-    _write(doc, out, "\n")
+    _write(doc, out, "\n", _FloatText())
     out.append("\n")
     return "".join(out)
 

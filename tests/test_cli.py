@@ -203,6 +203,8 @@ def test_float_flags_refuse_non_finite_values(capsys, argv, value):
     ("thresholds --beta 1 --gamma 1.0000000000000002", "Delta"),
     ("sweep --kind uniqueness --beta-min 1e-200 --beta-max 2e-200 --steps 1",
      "the uniqueness threshold mu_c"),
+    ("fixpoint --beta 1 --gamma 2 --mu 20 --d 100000", "gamma**d"),
+    ("construct --beta 1 --gamma 2 --mu 20 --d 2000 --ell 1 --target 5", "gamma**d"),
 ])
 def test_threshold_overflow_is_a_numeric_error(capsys, argv, quantity):
     code = main(argv.split())
@@ -780,18 +782,30 @@ def _subprocess_env():
      "--target", "inf", "--m", "10"],
     ["reduce", "--kind", "selfloop", "--beta", "2", "--gamma", "3", "--mu", "inf",
      "--target", "5", "--m", "10"],
+    ["sweep", "--kind", "star", "--beta", "1", "--gamma", "2", "--mu", "20", "--w-max", "-1"],
+    ["sweep", "--kind", "tree", "--beta", "1", "--gamma", "2", "--mu", "20", "--t-max", "-3"],
+    ["sweep", "--kind", "construct-error", "--beta", "1", "--gamma", "2", "--mu", "20",
+     "--targets", "-1"],
+    ["sweep", "--kind", "construct-error", "--beta", "1", "--gamma", "2", "--mu", "20",
+     "--ell-max", "-1"],
+    ["sweep", "--kind", "uniqueness", "--steps", "-1"],
+    ["eval", "--input", "{unhashable}"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0",
         "edge-of-three", "edge-of-one", "float-file-beta-infinity", "selfloop-target-inf",
-        "selfloop-mu-inf"])
+        "selfloop-mu-inf", "sweep-w-max-negative", "sweep-t-max-negative",
+        "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
+        "unhashable-id"])
 def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
              "malformed": str(tmp_path / "bad.json"),
              "triple": write_doc(tmp_path, dict(K2_DOC, edges=[["u", "u", "u"]]), "3.json"),
              "single": write_doc(tmp_path, dict(K2_DOC, edges=[["u"]]), "1.json"),
-             "infinite": write_doc(tmp_path, dict(K2_DOC, beta=math.inf), "inf.json")}
+             "infinite": write_doc(tmp_path, dict(K2_DOC, beta=math.inf), "inf.json"),
+             "unhashable": write_doc(tmp_path, dict(K2_DOC, vertices=[
+                 {"id": "u", "field": 2}, {"id": ["v"], "field": 2}]), "list-id.json")}
     (tmp_path / "bad.json").write_text('{"beta": 1, "gamma": ')
     argv = [arg.format(**files) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
@@ -801,6 +815,8 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    if files["triple"] in argv or files["unhashable"] in argv:
+        assert proc.stderr.startswith("domain error: malformed graph document: ")
 
 
 # One process, every subcommand, interleaved so that a flag set by one call is

@@ -340,12 +340,30 @@ def test_bucket_engine_matches_reference_bit_for_bit(monkeypatch):
 
 
 def test_validation_errors():
-    with pytest.raises(DomainError):
-        FieldedGraph({"v": 0.0}, [])
-    with pytest.raises(DomainError):
-        FieldedGraph({"v": 1.0}, [("v", "w")])
-    with pytest.raises(DomainError):
-        FieldedGraph({"v": 1.0}, [], output="zz")
+    # the message names the first offender in input order: vertices (each
+    # one's id before its field), then edges, then the output
+    positive = "field of vertex {!r} must be strictly positive"
+    cases = [
+        ([("x", 1), ("y", 1), ("y", 2), ("x", 2)], [], None, "duplicate vertex id 'y'"),
+        ([("a", 0.0), ("a", 1.0)], [], None, positive.format("a")),
+        ([("a", 1.0), ("b", 0.0), ("c", 0.0)], [], None, positive.format("b")),
+        ([("a", 1.0), ("b", -2.0), ("b", 1.0)], [], None, positive.format("b")),
+        ([("a", 1.0), ("b", math.nan), ("c", 0.0)], [], None, positive.format("b")),
+        ([("a", Fraction(0)), ("b", Fraction(-1))], [], None, positive.format("a")),
+        ([("a", Quad(0)), ("b", 1)], [], None, positive.format("a")),
+        ([("a", 1), ("b", Quad(1, -1, 2))], [], None, positive.format("b")),
+        ([("v", 1.0)], [("v", "v"), ("v", "w"), ("z", "v")], None,
+         "edge ('v', 'w') uses an undeclared vertex"),
+        ([("v", 1.0)], [("v", "w")], "zz", "edge ('v', 'w') uses an undeclared vertex"),
+        ([("v", 1.0)], [("v", "v")], "zz", "output vertex 'zz' is not declared"),
+    ]
+    for vertices, edges, output, message in cases:
+        with pytest.raises(DomainError) as exc:
+            FieldedGraph(vertices, edges, output)
+        assert str(exc.value) == message
+    g = FieldedGraph([("b", 2.0), ("a", Fraction(1, 3))], [["a", "b"]], output="a")
+    assert g.field_map == dict(g.vertices) == {"b": 2.0, "a": Fraction(1, 3)}
+    assert g.edges == (("a", "b"),)
     with pytest.raises(DomainError):
         SpinParams(-0.1, 2.0, 1.0)
     with pytest.raises(DomainError):

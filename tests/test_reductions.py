@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_effective_field, brute_z, graph_tuple
-from twospin import (CapacityError, DomainError, FieldedGraph, NumericError, Quad,
-                     SpinParams, bipartite_transform, contract_certificate,
-                     contract_degree_one, effective_field, ising_pipeline,
+from twospin import (CapacityError, DaryTree, DomainError, FieldedGraph, NumericError,
+                     Quad, SpinParams, bipartite_transform, contract_certificate,
+                     contract_degree_one, effective_field, ising_pipeline, materialize,
                      partition_function, realize_field_selfloops, to_ising,
                      verify_reduction)
 from twospin.instances import random_bipartite_graph, random_graph
@@ -365,6 +365,25 @@ def test_contract_matches_round_based_reference_peel():
         seen["loop"] += any(a == b for a, b in g.edges)
         seen["parallel"] += len({frozenset(e) for e in g.edges}) < len(g.edges)
     assert min(seen.values()) >= 20, seen
+
+
+def _long_path(n, field):
+    """Path on n vertices whose ids sort in a different order than they lie."""
+    ids = [f"p{(i * 7919) % n}" for i in range(n)]
+    return FieldedGraph([(v, field) for v in ids], list(zip(ids, ids[1:])), ids[n // 3])
+
+
+@pytest.mark.parametrize("graph, p", [
+    (materialize(DaryTree(2, 10), SpinParams(0.8, 1.7, 1.3)), SpinParams(0.8, 1.7, 1.3)),
+    (_long_path(601, 1.3), SpinParams(0.7, 2.2, 1.3)),
+    (_long_path(300, Fraction(13, 10)), SpinParams(Fraction(7, 10), Fraction(11, 5), 1)),
+], ids=["dary-tree-2-10", "path-601", "path-300-exact"])
+def test_contract_matches_reference_peel_on_deep_rounds(graph, p):
+    core, scale = contract_degree_one(graph, p)
+    got = (core.vertices, core.edges, core.output, scale)
+    want = _round_peel(graph, p)
+    assert got == want and repr(got) == repr(want)
+    assert len(core.vertices) == 1 and core.edges == ()
 
 
 # ---------------------------------------------------------------------------

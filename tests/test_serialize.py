@@ -48,6 +48,32 @@ def test_dump_json_matches_stdlib_on_rounded_document(doc):
     assert dump_json(doc) == oracle_dump(doc)
 
 
+@st.composite
+def same_shape_rows(draw):
+    """A list of same-shape records -- dicts on one key set, or arrays of one
+    length -- whose columns each draw from one scalar strategy (sometimes a
+    mixed one), with a trailing document that may break the shape."""
+    keys = sorted(draw(st.sets(st.text(), max_size=4)))
+    column = st.sampled_from([st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(), scalars])
+    columns = [draw(column) for _ in keys]
+    rows = [[draw(c) for c in columns] for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        rows = [dict(zip(keys, row)) for row in rows]
+    else:
+        rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    if draw(st.integers(0, 3)) == 0:
+        rows.append(draw(documents))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_shape_rows())
+def test_dump_json_matches_stdlib_on_same_shape_rows(rows):
+    assert dump_json(rows) == oracle_dump(rows)
+    assert dump_json({"rows": rows}) == oracle_dump({"rows": rows})
+
+
 EDGE_CASES = {
     "nan": math.nan,
     "inf": math.inf,
@@ -63,6 +89,29 @@ EDGE_CASES = {
                               "\x1f": ["ÿ", "\r"]},
     "int keys": {10: "ten", 9: "nine", 100: "hundred", -1: "minus one", "9a": 0},
     "numpy float64": [np.float64(0.1) * 3, np.float64("inf"), np.float64("nan")],
+    # lists of records: the row-template path, and shapes that must leave it
+    "records with zeros and non-finite": [
+        {"id": "a", "field": 0.0}, {"id": "b", "field": -0.0}, {"id": "c", "field": 0.0},
+        {"id": "d", "field": math.nan}, {"id": "e", "field": math.inf},
+        {"id": "f", "field": -math.inf}, {"id": "g", "field": -0.0}],
+    "records with repeated floats": [{"x": 2 / 3, "y": 0.1 * 3, "z": 2 / 3}] * 4
+    + [{"x": 0.30000000000000004, "y": 2 / 3, "z": 1e-320}],
+    "arrays with zeros and repeats": [[0.0, -0.0], [-0.0, 0.0], [1 / 3, 1 / 3], [1 / 3, -0.0]],
+    "percent in key and value": [{"a%": "%s", "%%b": "%d%%"}, {"a%": "%(x)s", "%%b": "%"}],
+    "last record has an extra key": [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5, "c": 0}],
+    "last record misses a key": [{"a": 1, "b": 2.5}, {"a": 3, "c": 4.5}],
+    "last record nests a value": [{"a": 1, "b": 2.5}, {"a": 3, "b": [4.5]}],
+    "middle record nests a value": [{"a": 1}, {"a": {"b": 2}}, {"a": 3}],
+    "arrays with an empty one": [[1, 2], [], [3, 4]],
+    "empty arrays": [[], [], []],
+    "arrays of unequal length": [[1, 2], [3], [4, 5]],
+    "arrays nesting a value": [[1, "a"], [2, "b"], [3, ["c"]]],
+    "tuples and lists": [(1, 2.5), [3, 4.5], (5, -0.0)],
+    "numpy float64 in a record": [{"a": 1.5, "b": 2}, {"a": np.float64(2.5), "b": 3}],
+    "bool and int in one column": [{"v": True, "w": 1}, {"v": 1, "w": False},
+                                   {"v": 0, "w": None}],
+    "non-str keys in records": [{1: "a", 2: "b"}, {1: "c", 2: "d"}],
+    "one record": [{"b": 1.0, "a": "x"}],
 }
 
 
