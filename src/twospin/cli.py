@@ -22,10 +22,11 @@ from fractions import Fraction
 
 from . import reductions as red
 from .construct import certify as certify_construct
-from .core import (ENUM_LIMIT, SpinParams, effective_field, graph_from_json,
+from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_json,
                    graph_to_json, partition_and_field, partition_function)
 from .errors import CapacityError, DomainError, NumericError
-from .gadgets import gadget_to_json, materialize, star_convergence, tree_convergence
+from .gadgets import (MATERIALIZE_LIMIT, gadget_to_json, materialize, star_convergence,
+                      tree_convergence)
 from .instances import random_bipartite_graph, random_graph
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
                         mu_star_bracket, solve_mu_star, uniqueness_threshold)
@@ -57,60 +58,41 @@ def _params(args, base: SpinParams | None) -> SpinParams:
 
 
 def _load_graph(path: str, mode: str):
-    """Graph and params of a graph JSON file, with beta, gamma and every field
-    in --mode's number type: float, or Fraction in rational mode."""
+    """Graph and params of a graph JSON file, every number in --mode's type."""
     num = Fraction if mode == "rational" else float
-    stray = {int, float} - {num}  # parsed number types to convert; ids stay as written
     try:
         with open(path) as fh:
             doc = json.load(fh, parse_float=num)
-        numbers = [(doc, "beta"), (doc, "gamma"), *((v, "field") for v in doc["vertices"])]
-        for holder, key in numbers:
-            if type(holder[key]) in stray:
-                holder[key] = num(holder[key])
-            if type(holder[key]) is float and not math.isfinite(holder[key]):  # float mode
-                raise ValueError(f"{key} = {holder[key]} is not a finite number")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
-    except (KeyError, TypeError):
-        pass  # a document of another shape: graph_from_json says what is wrong
-    except (ValueError, OverflowError) as exc:  # OverflowError: Fraction(inf), float(10**400)
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
-    return graph_from_json(doc)
+    return graph_from_json(doc, num)
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(args, doc, command: bool = True) -> None:
-    """Write doc to stdout and --output; a dict gets the schema (and command) keys."""
+    """Write doc to --output, then stdout; a dict gets the schema (and command) keys."""
     if isinstance(doc, dict):
         header = {"schema": SCHEMA_VERSION}
         if command:
             header["command"] = args.command
         doc = dump_json({**header, **doc})
-    sys.stdout.write(doc)
     if args.output:
         _write(args.output, doc)
-
-
-def _float(x, what: str) -> float:
-    """x as a float; an exact x beyond the float range is a NumericError."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise NumericError(f"{what} overflows a float") from None
+    sys.stdout.write(doc)
 
 
 def _instance_doc(inst: red.Instance) -> dict:
-    """The instance's graph JSON with every number as a float."""
-    doc = graph_to_json(inst.graph, inst.params)
-    for vertex in doc["vertices"]:
-        vertex["field"] = _float(vertex["field"], "a vertex field")
-    return {**doc, "beta": _float(doc["beta"], "beta"), "gamma": _float(doc["gamma"], "gamma"),
-            "mu": _float(inst.params.mu, "mu")}
+    """The instance's graph JSON with mu, every number a float."""
+    return {**graph_to_json(inst.graph, inst.params), "mu": _float(inst.params.mu, "mu")}
 
 
 def _certificate_doc(cert: red.ReductionCertificate) -> dict:
@@ -157,14 +139,14 @@ def cmd_construct(args) -> int:
     params = SpinParams(args.beta, args.gamma, args.mu)
     report = certify_construct(args.ell, args.target, RecursionParams(params, args.d))
     within = abs(report.log_error) <= report.bound
-    doc = {key: value for key, value in vars(report).items() if key not in ("gadget", "depth")}
-    _emit(args, {**doc, "ell": report.depth, "within_bound": within,
-                 "trace": [_level_doc(rec) for rec in report.trace]})
     if args.emit_gadget:
         _write(args.emit_gadget, dump_json(gadget_to_json(report.gadget)))
     if args.materialize:
         graph = materialize(report.gadget, params, limit=args.materialize_limit)
         _write(args.materialize, dump_json(graph_to_json(graph, params)))
+    doc = {key: value for key, value in vars(report).items() if key not in ("gadget", "depth")}
+    _emit(args, {**doc, "ell": report.depth, "within_bound": within,
+                 "trace": [_level_doc(rec) for rec in report.trace]})
     if within:
         return 0
     print("error: constructed gadget violates its error bound", file=sys.stderr)
@@ -325,7 +307,7 @@ COMMANDS = {
                      "help": "field in (0, mu_star] to realise"},
         "--emit-gadget": {"help": "write the gadget JSON here"},
         "--materialize": {"help": "write the materialised graph JSON here"},
-        "--materialize-limit": {"type": int, "default": 10 ** 6},
+        "--materialize-limit": {"type": int, "default": MATERIALIZE_LIMIT},
         "--output": _OUTPUT}),
     "thresholds": (cmd_thresholds, "degree/arity choices and field bounds", None, {
         "--beta": _FLOAT, "--gamma": _FLOAT,

@@ -407,26 +407,46 @@ def partition_and_field(graph: FieldedGraph, params: SpinParams, *,
 # Graph JSON: {"beta": r, "gamma": r, "vertices": [{"id": s, "field": r}],
 #              "edges": [[u, v], ...], "output": s|null}
 
-def graph_to_json(graph: FieldedGraph, params: SpinParams) -> dict:
-    return {
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "vertices": [{"id": v, "field": f} for v, f in graph.vertices],
-        "edges": [[u, v] for u, v in graph.edges],
-        "output": graph.output,
-    }
-
-
-def graph_from_json(doc: Mapping) -> tuple[FieldedGraph, SpinParams]:
-    """Parse graph JSON; number types in the document are preserved.
-
-    The document carries no uniform field, so the returned params use mu = 1;
-    evaluation only reads the per-vertex fields.
-    """
+def _float(x, what: str) -> float:
+    """x as a float; an exact x beyond the float range is a NumericError."""
     try:
-        verts = tuple(map(operator.itemgetter("id", "field"), doc["vertices"]))
-        graph = FieldedGraph(verts, doc["edges"], doc.get("output"))
-        params = SpinParams(doc["beta"], doc["gamma"], 1)
+        return float(x)
+    except OverflowError:
+        raise NumericError(f"{what} overflows a float") from None
+
+
+def graph_to_json(graph: FieldedGraph, params: SpinParams) -> dict:
+    """Graph JSON with every number a float, the one number type `dump_json` writes."""
+    try:
+        vertices = [{"id": v, "field": float(f)} for v, f in graph.vertices]
+    except OverflowError:
+        raise NumericError("a vertex field overflows a float") from None
+    return {"beta": _float(params.beta, "beta"), "gamma": _float(params.gamma, "gamma"),
+            "vertices": vertices, "edges": list(map(list, graph.edges)), "output": graph.output}
+
+
+def graph_from_json(doc: Mapping, num) -> tuple[FieldedGraph, SpinParams]:
+    """Parse graph JSON: ids as written; beta, gamma and every field a JSON
+    number (an int, a float or a ``num``, never a bool or a string) read as a
+    finite ``num``, float or Fraction.  The document has no uniform field: mu = 1."""
+    def as_nums(raw: list) -> list | None:  # raw as nums, or None if one breaks the rule
+        if not set(map(type, raw)) <= {int, float, num}:
+            return None
+        try:
+            out = list(map(num, raw))
+        except (OverflowError, ValueError):  # float(10**400), Fraction(inf), Fraction(nan)
+            return None
+        return out if num is not float or all(map(math.isfinite, out)) else None
+
+    try:
+        ids = list(map(operator.itemgetter("id"), doc["vertices"]))
+        raw = [doc["beta"], doc["gamma"], *map(operator.itemgetter("field"), doc["vertices"])]
+        if (nums := as_nums(raw)) is None:  # only now look for the offender
+            names = chain(("beta", "gamma"), (f"field of vertex {v!r}" for v in ids))
+            name, x = next((n, x) for n, x in zip(names, raw) if as_nums([x]) is None)
+            raise DomainError(f"malformed graph document: {name} = {x!r} is not a finite number")
+        graph = FieldedGraph(tuple(zip(ids, nums[2:])), doc["edges"], doc.get("output"))
+        params = SpinParams(nums[0], nums[1], 1)
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge not a pair

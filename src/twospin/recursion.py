@@ -126,8 +126,10 @@ def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12) -> list:
 
     The sequence decreases monotonically onto the largest fixed point, so the
     last entry is the mu_star approximation.  Works for any scalar type with
-    arithmetic (float, Fraction, mpmath.mpf).
+    arithmetic (float, Fraction, mpmath.mpf).  A negative rel_tol is a DomainError.
     """
+    if rel_tol < 0:
+        raise DomainError(f"relative tolerance must be >= 0, got {rel_tol}")
     x = rp.params.mu
     out = [x]
     for _ in range(10 ** 6):
@@ -163,9 +165,6 @@ def _bracketed(mu_star, rp: RecursionParams):
     return mu_star
 
 
-_IOTA_CHECK_HORIZON = 200
-
-
 def decay_constants(rp: RecursionParams) -> DecayConstants:
     """Concrete (alpha, c, eta, iota, t0) with a certified contraction window.
 
@@ -196,14 +195,12 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
         return contraction_rate(min(max(peak, mu_star - eta), mu_star + eta), rp) <= c
     eta = mu_star / 2 ** least_integer(certified, 1, 1)
 
-    t0 = 0
-    while t0 < len(iterates) and not iterates[t0] < mu_star + eta:
-        t0 += 1
-    if t0 == len(iterates):
+    t0 = next((t for t, x in enumerate(iterates) if x < mu_star + eta), None)
+    if t0 is None:
         raise NumericError("iteration never entered the contraction window")
 
     iota = max(math.log(float(p.mu)), eta * c ** (-t0))
-    for t in range(min(t0 + 1, _IOTA_CHECK_HORIZON)):
+    for t in range(t0 + 1):
         gap = math.log(iterates[t] / mu_star)
         if gap > c ** t * iota:
             iota = gap / c ** t

@@ -137,7 +137,7 @@ def test_eval_float_overflow_is_a_numeric_error(tmp_path, capsys):
     path = write_doc(tmp_path, doc)
     code = main(["eval", "--input", path])
     captured = capsys.readouterr()
-    graph, params = graph_from_json(doc)
+    graph, params = graph_from_json(doc, float)
     (log_z,) = core._log_partition_float(graph, params, ())
     assert log_z == pytest.approx(20 * math.log(1e40 + 1), rel=1e-12)
     assert code == 2
@@ -228,7 +228,7 @@ def test_construct_with_artifacts(tmp_path, capsys):
     params = SpinParams(1.0, 2.0, 20.0)
     tree = gadget_from_json(json.load(open(gadget_path)))
     assert gadget_field(tree, params) == pytest.approx(doc["achieved"], rel=1e-9)
-    graph, _ = graph_from_json(json.load(open(graph_path)))
+    graph, _ = graph_from_json(json.load(open(graph_path)), float)
     assert graph.n == doc["size"]
     assert graph.output is not None
 
@@ -241,7 +241,7 @@ def test_construct_materialized_star_matches_enumeration(tmp_path, capsys):
                              "--target", "12", "--materialize", graph_path])
     assert code == 0
     doc = json.loads(out)
-    graph, _ = graph_from_json(json.load(open(graph_path)))
+    graph, _ = graph_from_json(json.load(open(graph_path)), float)
     params = SpinParams(1.0, 2.0, 20.0)
     assert effective_field(graph, params) == pytest.approx(doc["achieved"], rel=1e-9)
 
@@ -790,13 +790,20 @@ def _subprocess_env():
      "--ell-max", "-1"],
     ["sweep", "--kind", "uniqueness", "--steps", "-1"],
     ["eval", "--input", "{unhashable}"],
+    ["eval", "--input", "{k2}", "--output", "{unwritable}"],
+    ["construct", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "1",
+     "--target", "12", "--emit-gadget", "{unwritable}"],
+    ["construct", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "1",
+     "--target", "12", "--materialize", "{unwritable}"],
+    ["fixpoint", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--tol", "-1"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0",
         "edge-of-three", "edge-of-one", "float-file-beta-infinity", "selfloop-target-inf",
         "selfloop-mu-inf", "sweep-w-max-negative", "sweep-t-max-negative",
         "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
-        "unhashable-id"])
+        "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
+        "materialize-unwritable", "fixpoint-tol-negative"])
 def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -805,7 +812,8 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
              "single": write_doc(tmp_path, dict(K2_DOC, edges=[["u"]]), "1.json"),
              "infinite": write_doc(tmp_path, dict(K2_DOC, beta=math.inf), "inf.json"),
              "unhashable": write_doc(tmp_path, dict(K2_DOC, vertices=[
-                 {"id": "u", "field": 2}, {"id": ["v"], "field": 2}]), "list-id.json")}
+                 {"id": "u", "field": 2}, {"id": ["v"], "field": 2}]), "list-id.json"),
+             "unwritable": str(tmp_path / "absent-dir" / "out.json")}
     (tmp_path / "bad.json").write_text('{"beta": 1, "gamma": ')
     argv = [arg.format(**files) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
@@ -817,6 +825,50 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     assert proc.stdout == ""
     if files["triple"] in argv or files["unhashable"] in argv:
         assert proc.stderr.startswith("domain error: malformed graph document: ")
+    if files["unwritable"] in argv:
+        assert proc.stderr.startswith(f"domain error: cannot write {files['unwritable']}: ")
+
+
+# K2_DOC's text with beta and u's field left to fill in
+K2_TEXT = ('{"beta": %s, "gamma": 2, "vertices": [{"id": "u", "field": %s}, '
+           '{"id": "v", "field": 2}], "edges": [["u", "v"]], "output": null}')
+
+# A graph file's beta, gamma and fields are JSON numbers, finite in --mode's
+# type: (key, JSON text, mode) -> exit 2, naming the key.
+MALFORMED_NUMBERS = [
+    *((key, text, mode) for key in ("beta", "field") for text in ("true", '"2"', "null")
+      for mode in ("float", "rational")),
+    *((key, text, "float") for key in ("beta", "field")
+      for text in ("NaN", "Infinity", "1e400")),
+    *((key, text, "rational") for key in ("beta", "field") for text in ("NaN", "Infinity")),
+]
+
+
+@pytest.mark.parametrize("key,text,mode", MALFORMED_NUMBERS)
+def test_malformed_graph_numbers_exit_2_naming_the_key(tmp_path, capsys, key, text, mode):
+    path = tmp_path / "g.json"
+    path.write_text(K2_TEXT % ((text, 2) if key == "beta" else (1, text)))
+    code = main(["eval", "--input", str(path), "--mode", mode])
+    captured = capsys.readouterr()
+    name = "beta" if key == "beta" else "field of vertex 'u'"
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"domain error: malformed graph document: {name} = ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_rational_field_beyond_float_range_is_a_numeric_error(tmp_path):
+    # read exactly, the 1e400 field cannot be written back as a float
+    path = tmp_path / "g.json"
+    path.write_text(K2_TEXT % (1, "1e400"))
+    proc = subprocess.run([sys.executable, "-m", "twospin", "reduce", "--kind", "contract",
+                           "--mode", "rational", "--input", str(path)],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numeric error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # One process, every subcommand, interleaved so that a flag set by one call is

@@ -1,5 +1,6 @@
 """Exhaustive partition-function evaluation against hand and brute-force oracles."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import brute_effective_field, brute_z, graph_tuple
-from twospin import (CapacityError, DomainError, FieldedGraph, Quad, SpinParams,
-                     core, effective_field, graph_from_json, graph_to_json,
+from twospin import (CapacityError, DomainError, FieldedGraph, NumericError, Quad,
+                     SpinParams, core, effective_field, graph_from_json, graph_to_json,
                      partition_and_field, partition_function)
 
 P12 = SpinParams(1.0, 2.0, 2.0)
@@ -374,11 +375,41 @@ def test_graph_json_round_trip():
     g = FieldedGraph({"a": 1.5, "b": 2.0}, [("a", "b"), ("b", "b")], output="a")
     p = SpinParams(0.8, 2.0, 1.0)
     doc = graph_to_json(g, p)
-    g2, p2 = graph_from_json(doc)
+    g2, p2 = graph_from_json(doc, float)
     assert g2.vertices == g.vertices
     assert g2.edges == g.edges
     assert g2.output == "a"
     assert (p2.beta, p2.gamma) == (0.8, 2.0)
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_graph_json_reads_numbers_as_num_and_keeps_ids(num):
+    text = ('{"beta": 1, "gamma": 2.5, "vertices": [{"id": 7, "field": 3}, '
+            '{"id": "v", "field": 0.5}], "edges": [[7, "v"]], "output": 7}')
+    g, p = graph_from_json(json.loads(text, parse_float=num), num)
+    assert [type(x) for x in (p.beta, p.gamma, *g.field_map.values())] == [num] * 4
+    assert (p.beta, p.gamma, g.field_map) == (1, 2.5, {7: 3, "v": 0.5})
+    assert [type(v) for v, _ in g.vertices] == [int, str]
+    assert (g.edges, g.output) == (((7, "v"),), 7)
+    doc = graph_to_json(g, p)
+    assert doc == json.loads(text)
+    assert [type(x) for x in (doc["beta"], doc["gamma"],
+                              *(v["field"] for v in doc["vertices"]))] == [float] * 4
+    assert graph_from_json(doc, num) == (g, p)
+
+
+def test_graph_to_json_writes_exact_numbers_as_floats():
+    g = FieldedGraph({"a": Fraction(1, 4), "b": Quad(1, 1, 2)}, [("a", "b")])
+    doc = graph_to_json(g, SpinParams(Quad(0, 1, 2), Fraction(3, 2), 1))
+    assert (doc["beta"], doc["gamma"]) == (math.sqrt(2), 1.5)
+    assert [v["field"] for v in doc["vertices"]] == [0.25, 1 + math.sqrt(2)]
+    assert {type(x) for x in (doc["beta"], doc["gamma"],
+                              *(v["field"] for v in doc["vertices"]))} == {float}
+    huge = Fraction(10 ** 400)
+    with pytest.raises(NumericError, match="^a vertex field overflows a float$"):
+        graph_to_json(g.with_fields({"a": huge}), SpinParams(1, 1, 1))
+    with pytest.raises(NumericError, match="^gamma overflows a float$"):
+        graph_to_json(g, SpinParams(1, huge, 1))
 
 
 def test_float_and_exact_paths_agree():
