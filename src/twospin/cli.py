@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import reductions as red
@@ -96,7 +95,7 @@ def _instance_doc(inst: red.Instance) -> dict:
 
 
 def _certificate_doc(cert: red.ReductionCertificate) -> dict:
-    return {**vars(cert), "scale": _float(cert.scale, "scale"),
+    return {**cert._asdict(), "scale": _float(cert.scale, "scale"),
             "scale_exact": exact_str(cert.scale),
             "input": _instance_doc(cert.input), "output": _instance_doc(cert.output)}
 
@@ -125,14 +124,14 @@ def cmd_fixpoint(args) -> int:
     mu_star = solve_mu_star(rp, rel_tol=args.tol)  # raises when outside the bracket
     consts = decay_constants(rp)
     lower, upper = mu_star_bracket(rp)
-    _emit(args, {**asdict(consts), "mu_star": mu_star,
+    _emit(args, {**consts._asdict(), "mu_star": mu_star,
                  "bracket": {"lower": lower, "upper": upper, "ok": True}})
     return 0
 
 
 def _level_doc(rec) -> dict:
-    return {**vars(rec), "branches": [{**vars(b), "gadget": gadget_to_json(b.gadget)}
-                                      for b in rec.branches]}
+    return {**rec._asdict(), "branches": [{**b._asdict(), "gadget": gadget_to_json(b.gadget)}
+                                          for b in rec.branches]}
 
 
 def cmd_construct(args) -> int:
@@ -144,7 +143,8 @@ def cmd_construct(args) -> int:
     if args.materialize:
         graph = materialize(report.gadget, params, limit=args.materialize_limit)
         _write(args.materialize, dump_json(graph_to_json(graph, params)))
-    doc = {key: value for key, value in vars(report).items() if key not in ("gadget", "depth")}
+    doc = {key: value for key, value in report._asdict().items()
+           if key not in ("gadget", "depth")}
     _emit(args, {**doc, "ell": report.depth, "within_bound": within,
                  "trace": [_level_doc(rec) for rec in report.trace]})
     if within:
@@ -154,7 +154,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    _emit(args, asdict(hardness_thresholds(SpinParams(args.beta, args.gamma, 1), d=args.d)))
+    _emit(args, hardness_thresholds(SpinParams(args.beta, args.gamma, 1), d=args.d)._asdict())
     return 0
 
 

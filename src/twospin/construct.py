@@ -25,8 +25,7 @@ computed and the stricter one used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, InvariantViolation
 from .gadgets import Comb, DaryTree, GadgetTree, Star, gadget_field, tree_size
@@ -46,16 +45,14 @@ def _residual_window(rp: RecursionParams, mu_star: float, i: int) -> tuple[float
     return p.mu * edge_ratio(0, p) ** k, p.mu * edge_ratio(mu_star, p) ** k
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(NamedTuple):
     """One of the d-1 intermediate children at a level: ideal value y and gadget."""
     i: int
     y: float
     gadget: GadgetTree
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     """Per-level trace: bracket index k, residual targets, branches, cutoff data."""
     ell: int
     k: int
@@ -67,8 +64,7 @@ class LevelRecord:
     terminal_w: Optional[int]
 
 
-@dataclass(frozen=True)
-class ConstructReport:
+class ConstructReport(NamedTuple):
     """Certified result: the gadget, its exact field, and the depth-ell bound."""
     gadget: GadgetTree
     target: float

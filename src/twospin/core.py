@@ -31,11 +31,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, NumericError
 from .exact import Quad, is_exact
@@ -59,8 +58,13 @@ def _pairs(items) -> tuple:
     return tuple((a, b) for a, b in pairs)
 
 
-@dataclass(frozen=True)
-class SpinParams:
+class _SpinParams(NamedTuple):
+    beta: object
+    gamma: object
+    mu: object
+
+
+class SpinParams(_SpinParams):
     """Edge interaction pair (beta, gamma) and uniform external field mu.
 
     beta weighs (0,0) edges, gamma weighs (1,1) edges, mixed edges weigh 1.
@@ -68,37 +72,37 @@ class SpinParams:
     ferromagnetic for beta*gamma > 1 and antiferromagnetic below 1.
     """
 
-    beta: object
-    gamma: object
-    mu: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
+    def __new__(cls, beta, gamma, mu):
+        if beta < 0 or gamma < 0:
             raise DomainError("beta and gamma must be non-negative")
-        if not _positive(self.mu):
+        if not _positive(mu):
             raise DomainError("mu must be positive")
+        return super().__new__(cls, beta, gamma, mu)
 
 
-@dataclass(frozen=True)
-class FieldedGraph:
+class _FieldedGraph(NamedTuple):
+    vertices: tuple
+    edges: tuple
+    output: Optional[str] = None
+
+
+class FieldedGraph(_FieldedGraph):
     """Multigraph with per-vertex external fields and an optional output vertex.
 
     ``vertices`` is a tuple of (id, field) pairs; ``edges`` a tuple of
     unordered id pairs, with u == v allowed (self-loop) and repeats allowed
     (parallel edges).  Construction accepts a mapping or iterable of pairs
-    for vertices and any iterable of pairs for edges.
+    for vertices and any iterable of pairs for edges.  Unlike the other
+    records it has an instance ``__dict__``, which holds ``field_map``.
     """
 
-    vertices: tuple
-    edges: tuple
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        verts = self.vertices
-        verts = tuple(verts.items()) if isinstance(verts, Mapping) else _pairs(verts)
-        edges = _pairs(self.edges)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
+    def __new__(cls, vertices, edges, output=None):
+        verts = (tuple(vertices.items()) if isinstance(vertices, Mapping)
+                 else _pairs(vertices))
+        edges = _pairs(edges)
+        self = super().__new__(cls, verts, edges, output)
 
         # every check at C speed; only a failing graph runs the loop below,
         # which names the first offender
@@ -107,9 +111,9 @@ class FieldedGraph:
             if (len(fmap) == len(verts)
                     and all(map(operator.gt, fmap.values(), repeat(0)))
                     and all(map(fmap.__contains__, chain.from_iterable(edges)))
-                    and (self.output is None or self.output in fmap)):
+                    and (output is None or output in fmap)):
                 self.__dict__["field_map"] = fmap
-                return
+                return self
         except TypeError:  # an unhashable id or an unordered field
             pass
         seen = set()
@@ -122,8 +126,9 @@ class FieldedGraph:
         for u, v in edges:
             if u not in seen or v not in seen:
                 raise DomainError(f"edge ({u!r}, {v!r}) uses an undeclared vertex")
-        if self.output is not None and self.output not in seen:
-            raise DomainError(f"output vertex {self.output!r} is not declared")
+        if output is not None and output not in seen:
+            raise DomainError(f"output vertex {output!r} is not declared")
+        return self
 
     @cached_property
     def field_map(self) -> dict:

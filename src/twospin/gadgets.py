@@ -8,15 +8,17 @@ the uniform mu.  Its effective field obeys the product recursion
 so arbitrary gadget trees evaluate exactly without materialising the graph:
 Star(w) is a w-star rooted at the centre (field mu * edge_ratio(mu)**w) and
 DaryTree(d, t) is the depth-t complete d-ary tree (t applications of the
-level map to mu).  Evaluation memoises on structural identity, so a depth-t
-tree costs O(t) even though it has d**t leaves.  `materialize` emits the
-explicit graph for cross-checks against the exhaustive evaluator.
+level map to mu).  `gadget_field` and `tree_size` visit each distinct node
+once: a Comb is memoised by identity, a d-ary level by (d, t), and a Star
+is closed form.  So a depth-t tree costs O(t) even though it has d**t
+leaves, and a comb whose children share one subtree object costs O(1) per
+distinct node, not per leaf.  `materialize` emits the explicit graph for
+cross-checks against the exhaustive evaluator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import FieldedGraph, SpinParams
 from .errors import CapacityError, DomainError
@@ -25,36 +27,51 @@ from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ra
 MATERIALIZE_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Star:
-    """w pendant vertices attached to the output; Star(0) is the singleton."""
+class _Star(NamedTuple):
     w: int
 
-    def __post_init__(self):
-        if self.w < 0:
+
+class Star(_Star):
+    """w pendant vertices attached to the output; Star(0) is the singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls, w: int):
+        if w < 0:
             raise DomainError("star needs a non-negative leaf count")
+        return super().__new__(cls, w)
 
 
-@dataclass(frozen=True)
-class DaryTree:
-    """Complete d-ary tree of depth t rooted at the output; t=0 is the singleton."""
+class _DaryTree(NamedTuple):
     d: int
     t: int
 
-    def __post_init__(self):
-        if self.d < 1 or self.t < 0:
+
+class DaryTree(_DaryTree):
+    """Complete d-ary tree of depth t rooted at the output; t=0 is the singleton."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, t: int):
+        if d < 1 or t < 0:
             raise DomainError("d-ary tree needs d >= 1 and t >= 0")
+        return super().__new__(cls, d, t)
 
 
-@dataclass(frozen=True)
-class Comb:
-    """Fresh output vertex joined to the outputs of the child gadgets."""
+class _Comb(NamedTuple):
     children: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
+
+class Comb(_Comb):
+    """Fresh output vertex joined to the outputs of the child gadgets."""
+
+    __slots__ = ()
+
+    def __new__(cls, children):
+        children = tuple(children)
+        if not children:
             raise DomainError("comb needs at least one child")
+        return super().__new__(cls, children)
 
 
 GadgetTree = Union[Star, DaryTree, Comb]
@@ -62,49 +79,49 @@ GadgetTree = Union[Star, DaryTree, Comb]
 
 def gadget_field(tree: GadgetTree, p: SpinParams):
     """Exact effective field of the gadget via the product recursion."""
-    memo = {}
+    combs = {}  # id(comb) -> field; every comb is reachable from tree meanwhile
+    levels = {}  # d -> fields of the d-ary trees of depth 0, 1, ...
 
     def f(node):
-        got = memo.get(node)
-        if got is not None:
-            return got
         if isinstance(node, Star):
-            val = p.mu * edge_ratio(p.mu, p) ** node.w
-        elif isinstance(node, DaryTree):
-            # iterative so deep chains do not recurse; reuse the deepest
-            # already-memoised level of the same arity
-            t0, val = 0, p.mu
-            for t in range(node.t, 0, -1):
-                cached = memo.get(DaryTree(node.d, t))
-                if cached is not None:
-                    t0, val = t, cached
-                    break
-            for t in range(t0 + 1, node.t + 1):
-                val = p.mu * edge_ratio(val, p) ** node.d
-                memo[DaryTree(node.d, t)] = val
-        elif isinstance(node, Comb):
-            val = p.mu
-            for child in node.children:
-                val = val * edge_ratio(f(child), p)
-        else:
-            raise DomainError(f"not a gadget tree node: {node!r}")
-        memo[node] = val
-        return val
+            return p.mu * edge_ratio(p.mu, p) ** node.w
+        if isinstance(node, DaryTree):
+            fields = levels.setdefault(node.d, [p.mu])
+            while len(fields) <= node.t:  # iterative, so deep chains do not recurse
+                fields.append(p.mu * edge_ratio(fields[-1], p) ** node.d)
+            return fields[node.t]
+        if isinstance(node, Comb):
+            val = combs.get(id(node))
+            if val is None:
+                val = p.mu
+                for child in node.children:
+                    val = val * edge_ratio(f(child), p)
+                combs[id(node)] = val
+            return val
+        raise DomainError(f"not a gadget tree node: {node!r}")
 
     return f(tree)
 
 
 def tree_size(tree: GadgetTree) -> int:
     """Vertex count of the materialised gadget (computed structurally)."""
-    if isinstance(tree, Star):
-        return tree.w + 1
-    if isinstance(tree, DaryTree):
-        if tree.d == 1:
-            return tree.t + 1
-        return (tree.d ** (tree.t + 1) - 1) // (tree.d - 1)
-    if isinstance(tree, Comb):
-        return 1 + sum(tree_size(c) for c in tree.children)
-    raise DomainError(f"not a gadget tree node: {tree!r}")
+    combs = {}  # id(comb) -> size, as in gadget_field
+
+    def size(node) -> int:
+        if isinstance(node, Star):
+            return node.w + 1
+        if isinstance(node, DaryTree):
+            if node.d == 1:
+                return node.t + 1
+            return (node.d ** (node.t + 1) - 1) // (node.d - 1)
+        if isinstance(node, Comb):
+            got = combs.get(id(node))
+            if got is None:
+                got = combs[id(node)] = 1 + sum(map(size, node.children))
+            return got
+        raise DomainError(f"not a gadget tree node: {node!r}")
+
+    return size(tree)
 
 
 def materialize(tree: GadgetTree, p: SpinParams,

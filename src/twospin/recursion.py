@@ -20,14 +20,18 @@ the threshold helpers evaluate the closed-form degree/field bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SpinParams
 from .errors import DomainError, NumericError
 
 
-@dataclass(frozen=True)
-class RecursionParams:
+class _RecursionParams(NamedTuple):
+    params: SpinParams
+    d: int
+
+
+class RecursionParams(_RecursionParams):
     """SpinParams plus the tree arity d used by the level map.
 
     Requires a ferromagnetic system with beta <= 1 and beta*(beta*gamma)**d > 1
@@ -37,27 +41,26 @@ class RecursionParams:
     NumericError.
     """
 
-    params: SpinParams
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.params
+    def __new__(cls, params: SpinParams, d: int):
+        p = params
         if not p.beta * p.gamma > 1:
             raise DomainError("recursion requires a ferromagnetic system (beta*gamma > 1)")
         if p.beta > 1:
             raise DomainError("recursion requires beta <= 1; use the self-loop reduction for beta > 1")
-        if self.d < 1:
+        if d < 1:
             raise DomainError("arity d must be a positive integer")
         try:
-            p.gamma ** self.d  # the largest power the recursion forms
+            p.gamma ** d  # the largest power the recursion forms
         except OverflowError:
             raise NumericError("gamma**d overflows a float") from None
-        if not p.beta * (p.beta * p.gamma) ** self.d > 1:
+        if not p.beta * (p.beta * p.gamma) ** d > 1:
             raise DomainError("need beta*(beta*gamma)**d > 1")
+        return super().__new__(cls, params, d)
 
 
-@dataclass(frozen=True)
-class DecayConstants:
+class DecayConstants(NamedTuple):
     """Certified contraction data for the level map around mu_star.
 
     alpha bounds the single-edge log-derivative everywhere on x > 0; c < 1
@@ -247,8 +250,7 @@ def uniqueness_threshold(beta: float, degree: int) -> float:
                            lambda: x * ((x + beta) / (beta * x + 1)) ** b)
 
 
-@dataclass(frozen=True)
-class HardnessThresholds:
+class HardnessThresholds(NamedTuple):
     """Closed-form degree/arity choices and field bounds for beta < gamma.
 
     mu_bound_local_fields is the (gamma/beta)**(Delta/2) bound used with

@@ -24,10 +24,8 @@ float it runs in floats and is checked to a relative tolerance.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
@@ -41,14 +39,12 @@ OUTPUT_FROM_INPUT = "output = scale * input"
 INPUT_FROM_OUTPUT = "input = scale * output"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     graph: FieldedGraph
     params: SpinParams
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(NamedTuple):
     """Two instances plus the exact scalar tying their partition functions.
 
     ``relation`` records which side the scalar multiplies; ``verified`` is
@@ -100,7 +96,7 @@ def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT
     else:
         lhs_f, rhs_f = float(lhs), float(rhs)
         ok = abs(lhs_f - rhs_f) <= 1e-9 * abs(lhs_f)
-    return dataclasses.replace(cert, verified=bool(ok))
+    return cert._replace(verified=bool(ok))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ print differently).
 
 from __future__ import annotations
 
-import csv
-import io
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import itemgetter
@@ -37,8 +36,19 @@ def format_float(x: float) -> float:
 
 
 def exact_str(value) -> str | None:
-    """Lossless string form of an exact scalar (`is_exact`), or None for floats."""
-    return str(value) if is_exact(value) else None
+    """Lossless string form of an exact scalar (`is_exact`), or None for floats.
+
+    Python refuses to write an int of more than 4,300 digits in decimal by
+    default; the limit is lifted while the value is written, then restored.
+    """
+    if not is_exact(value):
+        return None
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0: no limit
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _float(x) -> str:
@@ -133,7 +143,7 @@ def _write(o, out: list, nl: str, floats: _FloatText) -> None:
                 _write(value, out, inner, floats)
             head = sep
         out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
+    elif type(o) in _ARRAYS:  # a record, a tuple subclass, is no array
         if not o:
             out.append("[]")
             return
@@ -171,9 +181,8 @@ def dump_json(doc) -> str:
 
 
 def dump_csv(header: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """CSV text, one line per row after the header.  Every cell is an int or
+    a float (written at 12 significant digits), so no cell needs quoting."""
+    lines = [header, *([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+                       for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)

@@ -1,6 +1,5 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -408,7 +407,7 @@ def test_reduce_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
     import twospin.cli as cli_mod
 
     def stamp_false(cert, **kwargs):
-        return dataclasses.replace(cert, verified=False)
+        return cert._replace(verified=False)
 
     monkeypatch.setattr(cli_mod.red, "verify_reduction", stamp_false)
     path = write_doc(tmp_path, PATH_DOC)
@@ -759,6 +758,40 @@ def _subprocess_env():
     src = os.path.dirname(os.path.dirname(twospin.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_eval_rational_beyond_the_int_digit_limit(tmp_path, capsys):
+    # Z = (1 + 0.0001234567)**500 = 10001234567**500 / 10**5000: 5,001 digits
+    # each side, beyond the 4,300 that Python writes of an int by default
+    doc = {"beta": 1, "gamma": 1,
+           "vertices": [{"id": f"v{i}", "field": 0.0001234567} for i in range(500)],
+           "edges": [], "output": None}
+    path = write_doc(tmp_path, doc)
+    argv = ["eval", "--input", path, "--mode", "rational"]
+    proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, argv)
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    numerator, denominator = json.loads(out)["Z_exact"].split("/")
+    assert denominator == "1" + "0" * 5000
+    assert len(numerator) == 5001
+    assert int(numerator[-18:]) == pow(10001234567, 500, 10 ** 18)
+
+
+def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
+    # records are NamedTuples and CSV is joined by hand, so neither dataclasses
+    # (which imports inspect) nor csv is loaded; numpy waits for the first
+    # elimination
+    code = ("import sys, twospin.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'csv', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv", [

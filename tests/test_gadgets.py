@@ -11,7 +11,7 @@ from gadget_helpers import gadget_from_json, random_gadget_tree
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
                      RecursionParams, SpinParams, Star,
-                     contract_degree_one, decay_constants, effective_field,
+                     contract_degree_one, decay_constants, edge_ratio, effective_field,
                      gadget_field, gadget_to_json, materialize,
                      solve_mu_star, star_convergence, tree_convergence,
                      tree_size)
@@ -184,6 +184,17 @@ def test_memoised_evaluation_is_linear_in_depth():
     start = time.perf_counter()
     gadget_field(Comb([DaryTree(2, 40)] * 30), P)
     assert time.perf_counter() - start < 0.5
+
+
+def test_shared_children_are_visited_once():
+    # c[k+1] = Comb((c[k], c[k])) has 3 * 2**k - 1 vertices but k + 1 distinct nodes
+    node, x = Star(1), P.mu * edge_ratio(P.mu, P) ** 1
+    for _ in range(40):
+        node, x = Comb((node, node)), P.mu * edge_ratio(x, P) * edge_ratio(x, P)
+    assert tree_size(node) == 3 * 2 ** 40 - 1
+    assert gadget_field(node, P) == x
+    with pytest.raises(CapacityError):
+        materialize(node, P)
 
 
 def test_gadget_json_round_trip():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twospin import Quad
+from twospin import (Comb, DaryTree, FieldedGraph, Quad, ReductionCertificate,
+                     SpinParams, Star)
 from twospin.serialize import dump_json, format_float
 
 
@@ -132,3 +133,15 @@ def test_unsupported_type_raises_type_error(value):
         dump_json({"x": [value]})
     with pytest.raises(TypeError):
         oracle_dump({"x": [value]})
+
+
+RECORDS = [SpinParams(1, 2, 3), FieldedGraph({"u": 1.0}, ()), Star(2), DaryTree(2, 3),
+           Comb([Star(0)]), ReductionCertificate("k", None, None, 1.0, "r")]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_records_are_not_json_arrays(record):
+    # records are tuple subclasses; only an exact list or tuple is an array
+    for doc in (record, {"x": record}, [record], [record, record]):
+        with pytest.raises(TypeError):
+            dump_json(doc)
