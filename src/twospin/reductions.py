@@ -71,9 +71,17 @@ def _sqrt(x):
     return sqrt_fraction(x) if is_exact(x) else math.sqrt(x)
 
 
-def _half_power(x, k: int):
-    """x**(k/2); exact (Fraction/Quad) for an exact x."""
-    return half_power(x, k) if is_exact(x) else x ** (k / 2)
+def _power(x, k, what: str):
+    """x**k, where a float overflow is a NumericError naming ``what``."""
+    try:
+        return x ** k
+    except OverflowError:
+        raise NumericError(f"{what} overflows a float") from None
+
+
+def _half_power(x, k: int, what: str):
+    """x**(k/2); exact (Fraction/Quad) for an exact x, else `_power`."""
+    return half_power(x, k) if is_exact(x) else _power(x, k / 2, what)
 
 
 def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT
@@ -159,9 +167,11 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
     deg = graph.degrees()
     q = 1 / _sqrt(beta * gamma)
     ratio = gamma / beta
-    fields = {v: mu_prime * _half_power(ratio, deg[v]) for v in part_l}
-    fields.update({v: _half_power(ratio, deg[v]) / mu_prime for v in part_r})
-    scale = gamma ** len(graph.edges) / mu_prime ** len(part_r)
+    up = {d: _half_power(ratio, d, f"(gamma/beta)**({d}/2)") for d in set(deg.values())}
+    fields = {v: mu_prime * up[deg[v]] for v in part_l}
+    fields.update({v: up[deg[v]] / mu_prime for v in part_r})
+    scale = (_power(gamma, len(graph.edges), "gamma**|E|")
+             / _power(mu_prime, len(part_r), "mu'**|R|"))
 
     anti = Instance(graph.with_fields({v: mu_prime for v, _ in graph.vertices}),
                     SpinParams(q, q, mu_prime))
@@ -243,9 +253,11 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
     the per-loop decrement a = ln(gamma/beta) and the per-bristle increment
     b = ln((mu*beta+1)/(mu+gamma)) positive.  The smallest y for which some
     integer x >= 0 has |y*b - x*a - ln(target/mu)| <= 1/m is found by an
-    exact integer search; a gadget of more than `MATERIALIZE_LIMIT` vertices
-    raises CapacityError before any of it is built, and an achieved field that
-    underflows to 0.0 raises NumericError.
+    exact integer search.  Every scalar step comes before anything that grows
+    with y: the search (a gadget of more than `MATERIALIZE_LIMIT` vertices
+    raises CapacityError), then the achieved field (0.0 raises NumericError;
+    a float overflow still escapes as OverflowError, a known defect).  Only a
+    realisation that is returned builds its bristles and its graph.
     """
     beta, gamma, mu = float(p.beta), float(p.gamma), float(p.mu)
     if not gamma > beta > 1:
@@ -258,14 +270,14 @@ def realize_field_selfloops(target, m: int, p: SpinParams) -> SelfloopRealizatio
         raise DomainError("precision parameter m must be a positive integer")
 
     x, y = _least_loops_and_bristles(target, m, beta, gamma, mu)
-    bristles = [f"b{i}" for i in range(y)]
-    vertices = (("v0", p.mu), *zip(bristles, repeat(p.mu)))
-    edges = (("v0", "v0"),) * x + tuple(zip(repeat("v0"), bristles))
-    gadget = FieldedGraph(vertices, edges, output="v0")
     achieved = mu * (beta / gamma) ** x * ((mu * beta + 1) / (mu + gamma)) ** y
     if achieved == 0.0:
         raise NumericError(f"the achieved field of x = {x} loops and y = {y} bristles "
                            "underflows a float")
+    bristles = [f"b{i}" for i in range(y)]
+    vertices = (("v0", p.mu), *zip(bristles, repeat(p.mu)))
+    edges = (("v0", "v0"),) * x + tuple(zip(repeat("v0"), bristles))
+    gadget = FieldedGraph(vertices, edges, output="v0")
     return SelfloopRealization(x=x, y=y, gadget=gadget, achieved=achieved)
 
 
@@ -353,7 +365,7 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
 
     a = _sqrt(beta * gamma)
     down = beta / gamma
-    scale = _half_power(gamma / beta, len(graph.edges))
+    scale = _half_power(gamma / beta, len(graph.edges), "sqrt(gamma/beta)**|E|")
 
     if graph.n == 1 and not graph.edges:
         # edgeless singleton: Z = field + 1 on both sides, scale is 1
@@ -369,11 +381,14 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
                 f"vertex {v!r} has degree {deg[v]} < 2; contract pendants and strip "
                 "isolated vertices first")
 
+    shrink = {d: _half_power(down, d, f"(beta/gamma)**({d}/2)") for d in set(deg.values())}
     new_fields = {}
     for (v, _), f in zip(graph.vertices, fields):
-        nf = f * _half_power(down, deg[v])
+        nf = f * shrink[deg[v]]
         if not nf <= slack:
             raise DomainError(f"transformed field of {v!r} is {nf} > 1")
+        if nf == 0:
+            raise NumericError(f"transformed field of {v!r} underflows a float")
         new_fields[v] = nf
     ising = Instance(graph.with_fields(new_fields), SpinParams(a, a, 1))
     return ReductionCertificate(kind="ising", input=Instance(graph, p),

@@ -11,22 +11,24 @@ import json
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("cli", "construct", "core", "exact", "gadgets", "recursion", "reductions")
 
 
-def _load_spans() -> types.ModuleType:
-    # compiled from the source text, so nothing is written next to it
-    module = types.ModuleType("spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+def load_bench(name: str) -> types.ModuleType:
+    """bench/<name>.py, compiled from its source text so that nothing is
+    written next to it."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_tracer_wraps_existing_names_and_restores_them():
     modules = [importlib.import_module(f"twospin.{name}") for name in MODULES]
     before = [dict(vars(module)) for module in modules]
-    tracer = _load_spans().Tracer()
+    tracer = load_bench("spans").Tracer()
     try:
         tracer.install()  # looks up every traced name: a missing one raises here
         patched = list(tracer._patches)
@@ -53,7 +55,7 @@ def test_traced_cli_runs_count_engine_calls_and_no_errors(tmp_path, capsys):
             ["eval", "--input", str(path), "--mode", "rational"],
             ["reduce", "--kind", "pipeline", "--input", str(path), "--mu", "2",
              "--mode", "rational"]]
-    tracer = _load_spans().Tracer()
+    tracer = load_bench("spans").Tracer()
     tracer.install()
     try:
         codes = []

@@ -904,6 +904,45 @@ def test_rational_field_beyond_float_range_is_a_numeric_error(tmp_path):
     assert proc.stdout == ""
 
 
+def _multi_edge_doc(beta, gamma, k, field=1):
+    """Vertices a and b joined by k parallel edges."""
+    return {"beta": beta, "gamma": gamma,
+            "vertices": [{"id": v, "field": field} for v in "ab"],
+            "edges": [["a", "b"]] * k, "output": None}
+
+
+CYCLE_24 = {"beta": 1, "gamma": 1e30,
+            "vertices": [{"id": f"c{i}", "field": 2} for i in range(24)],
+            "edges": [[f"c{i}", f"c{(i + 1) % 24}"] for i in range(24)], "output": None}
+STAR_2 = {"beta": 1, "gamma": 2,
+          "vertices": [{"id": v, "field": 1} for v in ("c", "l1", "l2")],
+          "edges": [["c", "l1"], ["c", "l2"]], "output": None}
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    (_multi_edge_doc(1, 2, 2), "bipartite --mu-prime 2 --beta 0.5 --gamma 1e300",
+     "gamma**|E| overflows a float"),
+    (STAR_2, "bipartite --mu-prime 1e200", "mu'**|R| overflows a float"),
+    (_multi_edge_doc(1, 2, 4), "bipartite --mu-prime 2 --beta 1e-100 --gamma 2e100",
+     "(gamma/beta)**(4/2) overflows a float"),
+    (CYCLE_24, "ising --mu 2", "sqrt(gamma/beta)**|E| overflows a float"),
+    (CYCLE_24, "pipeline --mu 2", "sqrt(gamma/beta)**|E| overflows a float"),
+    # beta/gamma = 1e-400 is 0.0 in floats
+    (_multi_edge_doc(1e-200, 1e200, 3), "ising --mu 1",
+     "transformed field of 'a' underflows a float"),
+    (_multi_edge_doc(1e-200, 1e200, 3), "pipeline --mu 1",
+     "transformed field of 'a' underflows a float"),
+], ids=["bipartite-gamma-power", "bipartite-mu-prime-power", "bipartite-degree-power",
+        "ising-scale", "pipeline-scale", "ising-field-underflow", "pipeline-field-underflow"])
+def test_reduction_float_range_is_a_numeric_error(tmp_path, capsys, doc, flags, message):
+    path = write_doc(tmp_path, doc)
+    code = main(["reduce", "--kind", *flags.split(), "--input", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"numeric error: {message}\n"
+
+
 # One process, every subcommand, interleaved so that a flag set by one call is
 # left at its default by a later one; with usage errors, --help and domain
 # errors among them.  eval reads --mu if the namespace has one, so a value

@@ -11,7 +11,7 @@ from oracles import brute_effective_field, brute_z, graph_tuple
 from twospin import (CapacityError, DaryTree, DomainError, FieldedGraph, NumericError,
                      Quad, SpinParams, bipartite_transform, contract_certificate,
                      contract_degree_one, effective_field, ising_pipeline, materialize,
-                     partition_function, realize_field_selfloops, to_ising,
+                     partition_function, realize_field_selfloops, reductions, to_ising,
                      verify_reduction)
 from twospin.instances import random_bipartite_graph, random_graph
 from twospin.reductions import _least_loops_and_bristles
@@ -190,7 +190,21 @@ def test_selfloop_search_matches_exact_scan():
         assert _least_loops_and_bristles(*case) == _selfloop_by_scan(*case), case
 
 
-def test_selfloop_near_rational_ratio_is_refused_before_building():
+@pytest.fixture
+def built(monkeypatch):
+    """The vertex count of every FieldedGraph that `reductions` makes."""
+    sizes = []
+
+    def spy(*args, **kwargs):
+        graph = FieldedGraph(*args, **kwargs)
+        sizes.append(graph.n)
+        return graph
+
+    monkeypatch.setattr(reductions, "FieldedGraph", spy)
+    return sizes
+
+
+def test_selfloop_near_rational_ratio_is_refused_before_building(built):
     # b/a = 1 - 5e-9: the first y within 1/m is about 1.1e8, above the limit
     tracemalloc.start()
     try:
@@ -200,6 +214,7 @@ def test_selfloop_near_rational_ratio_is_refused_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6  # no list of bristles was started
+    assert built == []
 
 
 @pytest.mark.parametrize("target, m, p, message", [
@@ -210,9 +225,20 @@ def test_selfloop_near_rational_ratio_is_refused_before_building():
     # x = 1845 loops: (2/3)**1845 underflows, so the achieved field is 0.0
     (5.0, 1000, SpinParams(2.0, 3.0, 1e300), "underflows"),
 ], ids=["zero-bristle-increment", "no-solution", "achieved-underflow"])
-def test_selfloop_numeric_errors(target, m, p, message):
+def test_selfloop_numeric_errors(built, target, m, p, message):
     with pytest.raises(NumericError, match=message):
         realize_field_selfloops(target, m, p)
+    assert built == []  # refused before any bristle was built
+
+
+def test_selfloop_field_out_of_float_range_builds_nothing(built):
+    # x, y = 5419, 14257: (7/6)**y is beyond a float, though the product is not
+    try:
+        r = realize_field_selfloops(5.0, 100_000, P_SL)
+    except Exception:
+        assert built == []
+    else:
+        assert built == [r.y + 1]
 
 
 def test_selfloop_gadget_structure():
