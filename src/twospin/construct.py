@@ -27,8 +27,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, InvariantViolation
-from .gadgets import Comb, DaryTree, GadgetTree, Star, gadget_field, tree_size
+from .errors import CapacityError, DomainError, InvariantViolation
+from .gadgets import (DEPTH_LIMIT, Comb, DaryTree, GadgetTree, Star, gadget_field,
+                      tree_size)
 from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
                         decay_constants, edge_ratio, invert_edge_ratio, least_integer)
 
@@ -198,6 +199,8 @@ def _prepare(ell: int, target: float, rp: RecursionParams,
              constants: Optional[DecayConstants]) -> tuple[float, DecayConstants]:
     if ell < 0:
         raise DomainError("depth ell must be a non-negative integer")
+    if ell > DEPTH_LIMIT:
+        raise CapacityError(f"depth ell={ell} exceeds the limit {DEPTH_LIMIT}")
     bound = construction_field_bound(rp.params, rp.d)
     if not rp.params.mu > bound:
         raise DomainError(

@@ -8,12 +8,13 @@ the uniform mu.  Its effective field obeys the product recursion
 so arbitrary gadget trees evaluate exactly without materialising the graph:
 Star(w) is a w-star rooted at the centre (field mu * edge_ratio(mu)**w) and
 DaryTree(d, t) is the depth-t complete d-ary tree (t applications of the
-level map to mu).  `gadget_field` and `tree_size` visit each distinct node
-once: a Comb is memoised by identity, a d-ary level by (d, t), and a Star
-is closed form.  So a depth-t tree costs O(t) even though it has d**t
-leaves, and a comb whose children share one subtree object costs O(1) per
-distinct node, not per leaf.  `materialize` emits the explicit graph for
-cross-checks against the exhaustive evaluator.
+level map to mu).  `gadget_field`, `tree_size` and `gadget_to_json` visit
+each distinct node once: every node is memoised by identity, a d-ary level
+also by (d, t), and a run of one child object inside a comb is one visit.
+So a depth-t tree costs O(t) even though it has d**t leaves, and the k
+singleton children that one construction level shares cost one visit, not
+k.  `materialize` emits the explicit graph for cross-checks against the
+exhaustive evaluator.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .errors import CapacityError, DomainError
 from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio
 
 MATERIALIZE_LIMIT = 10 ** 6
+# Deepest construction (`construct.certify`'s ell): every gadget walker takes
+# a stack frame per comb level, and the JSON writer two, so a gadget this
+# deep fits Python's default recursion limit of 1,000 with room to spare for
+# the caller's frames.
+DEPTH_LIMIT = 400
 
 
 class _Star(NamedTuple):
@@ -78,48 +84,66 @@ GadgetTree = Union[Star, DaryTree, Comb]
 
 
 def gadget_field(tree: GadgetTree, p: SpinParams):
-    """Exact effective field of the gadget via the product recursion."""
-    combs = {}  # id(comb) -> field; every comb is reachable from tree meanwhile
+    """Exact effective field of the gadget via the product recursion.
+
+    Costs O(distinct nodes): every node is memoised by identity (a d-ary
+    level also by (d, t)), and a run of one child object inside a Comb
+    takes one edge_ratio.  The product is still taken left to right, one
+    factor per copy, so the value is the plain recursion's, bit for bit.
+    """
+    memo = {}  # id(node) -> field; every node is reachable from tree meanwhile
     levels = {}  # d -> fields of the d-ary trees of depth 0, 1, ...
 
     def f(node):
-        if isinstance(node, Star):
-            return p.mu * edge_ratio(p.mu, p) ** node.w
-        if isinstance(node, DaryTree):
-            fields = levels.setdefault(node.d, [p.mu])
-            while len(fields) <= node.t:  # iterative, so deep chains do not recurse
-                fields.append(p.mu * edge_ratio(fields[-1], p) ** node.d)
-            return fields[node.t]
-        if isinstance(node, Comb):
-            val = combs.get(id(node))
-            if val is None:
-                val = p.mu
-                for child in node.children:
-                    val = val * edge_ratio(f(child), p)
-                combs[id(node)] = val
+        val = memo.get(id(node))
+        if val is not None:
             return val
-        raise DomainError(f"not a gadget tree node: {node!r}")
+        if isinstance(node, Comb):
+            val, prev = p.mu, None
+            for child in node.children:
+                if child is not prev:
+                    prev, ratio = child, edge_ratio(f(child), p)
+                val = val * ratio
+        elif isinstance(node, Star):
+            val = p.mu * edge_ratio(p.mu, p) ** node.w
+        elif isinstance(node, DaryTree):
+            val = levels.setdefault(node.d, [p.mu])
+            while len(val) <= node.t:  # iterative, so deep chains do not recurse
+                val.append(p.mu * edge_ratio(val[-1], p) ** node.d)
+            val = val[node.t]
+        else:
+            raise DomainError(f"not a gadget tree node: {node!r}")
+        memo[id(node)] = val
+        return val
 
     return f(tree)
 
 
 def tree_size(tree: GadgetTree) -> int:
-    """Vertex count of the materialised gadget (computed structurally)."""
-    combs = {}  # id(comb) -> size, as in gadget_field
+    """Vertex count of the materialised gadget (computed structurally).
+
+    Costs O(distinct nodes), as `gadget_field` does.
+    """
+    memo = {}  # id(node) -> size, as in gadget_field
 
     def size(node) -> int:
-        if isinstance(node, Star):
-            return node.w + 1
-        if isinstance(node, DaryTree):
-            if node.d == 1:
-                return node.t + 1
-            return (node.d ** (node.t + 1) - 1) // (node.d - 1)
-        if isinstance(node, Comb):
-            got = combs.get(id(node))
-            if got is None:
-                got = combs[id(node)] = 1 + sum(map(size, node.children))
+        got = memo.get(id(node))
+        if got is not None:
             return got
-        raise DomainError(f"not a gadget tree node: {node!r}")
+        if isinstance(node, Comb):
+            got, prev = 1, None
+            for child in node.children:
+                if child is not prev:
+                    prev, each = child, size(child)
+                got += each
+        elif isinstance(node, Star):
+            got = node.w + 1
+        elif isinstance(node, DaryTree):
+            got = node.t + 1 if node.d == 1 else (node.d ** (node.t + 1) - 1) // (node.d - 1)
+        else:
+            raise DomainError(f"not a gadget tree node: {node!r}")
+        memo[id(node)] = got
+        return got
 
     return size(tree)
 
@@ -196,11 +220,29 @@ def tree_convergence(rp: RecursionParams, t_max: int,
 #                      "children": [...]}
 
 def gadget_to_json(tree: GadgetTree) -> dict:
-    if isinstance(tree, Star):
-        return {"kind": "star", "w": tree.w}
-    if isinstance(tree, DaryTree):
-        return {"kind": "tree", "d": tree.d, "t": tree.t}
-    if isinstance(tree, Comb):
-        return {"kind": "comb", "children": [gadget_to_json(c) for c in tree.children]}
-    raise DomainError(f"gadget {tree!r} has no JSON form")
+    """Nested JSON form of the gadget, in O(distinct nodes): each distinct
+    node becomes one dict, which every occurrence of the node shares, so a
+    comb's k singleton children are k references to one dict."""
+    docs = {}  # id(node) -> its dict
 
+    def doc(node) -> dict:
+        got = docs.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, Comb):
+            got, prev = [], None
+            for child in node.children:
+                if child is not prev:
+                    prev, each = child, doc(child)
+                got.append(each)
+            got = {"kind": "comb", "children": got}
+        elif isinstance(node, Star):
+            got = {"kind": "star", "w": node.w}
+        elif isinstance(node, DaryTree):
+            got = {"kind": "tree", "d": node.d, "t": node.t}
+        else:
+            raise DomainError(f"gadget {node!r} has no JSON form")
+        docs[id(node)] = got
+        return got
+
+    return doc(tree)

@@ -169,6 +169,10 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
     ratio = gamma / beta
     up = {d: _half_power(ratio, d, f"(gamma/beta)**({d}/2)") for d in set(deg.values())}
     fields = {v: mu_prime * up[deg[v]] for v in part_l}
+    if not is_exact(mu_prime):  # R's fields, up[deg] / mu', stay below a finite up[deg]
+        for v in part_l:
+            if math.isinf(fields[v]):
+                raise NumericError(f"transformed field of {v!r} overflows a float")
     fields.update({v: up[deg[v]] / mu_prime for v in part_r})
     scale = (_power(gamma, len(graph.edges), "gamma**|E|")
              / _power(mu_prime, len(part_r), "mu'**|R|"))

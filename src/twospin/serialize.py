@@ -90,12 +90,15 @@ def _rows(o, nl: str, floats: _FloatText) -> list | None:
     Written through one %-template when the elements are all dicts with the
     first one's str keys, or all arrays of the first one's length, and each
     column holds scalars of one type; any other list returns None.  The
-    first element's values are checked before any column is built, so a
-    list of nested elements costs next to nothing here.
+    first element's values, and the last dict's keys, are checked before
+    any column is built, so a list of nested elements, or a comb's children
+    whose last one has another shape, costs next to nothing here.
     """
-    first = o[0]
+    first, last = o[0], o[-1]
     kinds, values = ({dict}, first.values()) if type(first) is dict else (_ARRAYS, first)
     if (not first or not all(map(_SCALARS.__contains__, map(type, values)))
+            or (kinds is not _ARRAYS and (type(last) is not dict
+                                          or last.keys() != first.keys()))
             or not set(map(type, o)) <= kinds or set(map(len, o)) != {len(first)}):
         return None
     inner = nl + "  "
@@ -153,13 +156,21 @@ def _write(o, out: list, nl: str, floats: _FloatText) -> None:
         if rows is not None:
             out.append(head + sep.join(rows) + nl + "]")
             return
+        prev = text = None  # the element before, and its text once it repeats
         for value in o:
             scalar = _SCALARS.get(type(value))
             if scalar is not None:
                 out.append(head + scalar(value))
+            elif value is prev:
+                if text is None:
+                    text = "".join(out[start:])
+                out.append(head + text)
             else:
                 out.append(head)
+                start = len(out)
                 _write(value, out, inner, floats)
+                text = None
+            prev = value
             head = sep
         out.append(nl + "]")
     elif isinstance(o, float):

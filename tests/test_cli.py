@@ -16,6 +16,7 @@ from gadget_helpers import gadget_from_json
 from twospin import (FieldedGraph, NumericError, SpinParams, core, effective_field,
                      gadget_field, graph_from_json, is_exact, partition_function)
 from twospin.cli import main
+from twospin.gadgets import DEPTH_LIMIT
 
 K2_DOC = {"beta": 1, "gamma": 2,
           "vertices": [{"id": "u", "field": 2}, {"id": "v", "field": 2}],
@@ -250,6 +251,28 @@ def test_construct_target_out_of_range(capsys):
                            "--mu", "20", "--d", "1", "--ell", "1",
                            "--target", "25"])
     assert code == 2
+
+
+DEEP_POINT = ["--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", *DEEP_POINT, "--target", "10", "--ell"],
+    ["construct", *DEEP_POINT, "--target", "10", "--emit-gadget", "{dir}/g.json", "--ell"],
+    ["construct", *DEEP_POINT, "--target", "10", "--materialize", "{dir}/m.json", "--ell"],
+    ["sweep", "--kind", "construct-error", *DEEP_POINT, "--targets", "1", "--ell-max"],
+], ids=["construct", "emit-gadget", "materialize", "sweep"])
+def test_depth_cap(tmp_path, capsys, argv):
+    # every gadget walker recurses once per level and the JSON writer twice:
+    # at the cap they fit the default recursion limit, beside pytest's frames
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main([*argv, str(DEPTH_LIMIT)]) in (0, 4)
+    capsys.readouterr()
+    assert main([*argv, str(DEPTH_LIMIT + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"capacity error: depth ell={DEPTH_LIMIT + 1} "
+                            f"exceeds the limit {DEPTH_LIMIT}\n")
 
 
 def test_thresholds(capsys):
@@ -932,8 +955,12 @@ STAR_2 = {"beta": 1, "gamma": 2,
      "transformed field of 'a' underflows a float"),
     (_multi_edge_doc(1e-200, 1e200, 3), "pipeline --mu 1",
      "transformed field of 'a' underflows a float"),
+    # mu' * (gamma/beta)**(4/2) = 1e320: two finite factors, an infinite product
+    (_multi_edge_doc(1, 1e10, 4), "bipartite --mu-prime 1e300 --beta 1 --gamma 1e10 --no-verify",
+     "transformed field of 'a' overflows a float"),
 ], ids=["bipartite-gamma-power", "bipartite-mu-prime-power", "bipartite-degree-power",
-        "ising-scale", "pipeline-scale", "ising-field-underflow", "pipeline-field-underflow"])
+        "ising-scale", "pipeline-scale", "ising-field-underflow", "pipeline-field-underflow",
+        "bipartite-field-overflow"])
 def test_reduction_float_range_is_a_numeric_error(tmp_path, capsys, doc, flags, message):
     path = write_doc(tmp_path, doc)
     code = main(["reduce", "--kind", *flags.split(), "--input", path])

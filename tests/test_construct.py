@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from twospin import (DecayConstants, DomainError, InvariantViolation, RecursionParams,
-                     SpinParams,
-                     Star, certify, construct, decay_constants, edge_ratio,
-                     gadget_field, invert_edge_ratio, solve_mu_star)
+from twospin import (CapacityError, DecayConstants, DomainError, InvariantViolation,
+                     RecursionParams, SpinParams, Star, certify, construct,
+                     decay_constants, edge_ratio, gadget_field, invert_edge_ratio,
+                     solve_mu_star)
 from twospin.construct import (_branch_star_w, _cutoff_delta, _cutoff_star_w,
                                _power_bracket, _residual_window)
+from twospin.gadgets import DEPTH_LIMIT
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 C = decay_constants(RP)
@@ -179,6 +180,14 @@ def test_construct_preconditions():
     # mu below the solvable-range bound: 7.77 needed for (1, 2, d=1)
     with pytest.raises(DomainError):
         certify(2, 1.0, RecursionParams(SpinParams(1.0, 2.0, 5.0), 1))
+
+
+def test_depth_beyond_the_limit_is_refused_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(construct, "_construct", lambda *args: built.append(args))
+    with pytest.raises(CapacityError, match=f"limit {DEPTH_LIMIT}$"):
+        certify(DEPTH_LIMIT + 1, 10.0, RP, C)
+    assert built == []
 
 
 def test_residual_escape_raises_invariant_violation(monkeypatch):

@@ -10,11 +10,12 @@ import pytest
 from gadget_helpers import gadget_from_json, random_gadget_tree
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
-                     RecursionParams, SpinParams, Star,
-                     contract_degree_one, decay_constants, edge_ratio, effective_field,
-                     gadget_field, gadget_to_json, materialize,
-                     solve_mu_star, star_convergence, tree_convergence,
+                     RecursionParams, SpinParams, Star, certify,
+                     construction_field_bound, contract_degree_one, decay_constants,
+                     edge_ratio, effective_field, gadget_field, gadget_to_json,
+                     materialize, solve_mu_star, star_convergence, tree_convergence,
                      tree_size)
+from twospin import gadgets
 
 P = SpinParams(1.0, 2.0, 20.0)
 
@@ -212,3 +213,71 @@ def test_fields_stay_in_zero_mu_for_beta_at_most_one():
         tree = random_gadget_tree(rng, 14)
         f = gadget_field(tree, P)
         assert 0 < f <= P.mu
+
+
+# A construct grid like the field-gadgets benchmark's: beta = 1, beta < 1, mu
+# just above the construction's bound, and d = 2; depths 0..12, three targets.
+CONSTRUCT_GRID = [(1.0, 2.0, 20.0, 1), (0.8, 2.0, 30.0, 1),
+                  (1.0, 2.0, 1.005 * construction_field_bound(SpinParams(1.0, 2.0, 1), 1), 1),
+                  (0.9, 1.5, 12.0, 2)]
+
+
+def _plain_field(node, p):
+    """The product recursion, one visit per copy and no memo."""
+    if isinstance(node, Star):
+        return p.mu * edge_ratio(p.mu, p) ** node.w
+    if isinstance(node, DaryTree):
+        val = p.mu
+        for _ in range(node.t):
+            val = p.mu * edge_ratio(val, p) ** node.d
+        return val
+    val = p.mu
+    for child in node.children:
+        val = val * edge_ratio(_plain_field(child, p), p)
+    return val
+
+
+def _plain_size(node):
+    if isinstance(node, Star):
+        return node.w + 1
+    if isinstance(node, DaryTree):
+        return sum(node.d ** i for i in range(node.t + 1))
+    return 1 + sum(_plain_size(child) for child in node.children)
+
+
+def _plain_json(node):
+    if isinstance(node, Star):
+        return {"kind": "star", "w": node.w}
+    if isinstance(node, DaryTree):
+        return {"kind": "tree", "d": node.d, "t": node.t}
+    return {"kind": "comb", "children": [_plain_json(child) for child in node.children]}
+
+
+@pytest.mark.parametrize("beta, gamma, mu, d", CONSTRUCT_GRID)
+def test_walkers_equal_the_plain_recursion_on_the_construct_grid(beta, gamma, mu, d):
+    rp = RecursionParams(SpinParams(beta, gamma, mu), d)
+    C = decay_constants(rp)
+    for ell in range(13):
+        for share in (0.1, 0.5, 0.9):
+            tree = certify(ell, C.mu_star * share, rp, C).gadget
+            assert gadget_field(tree, rp.params) == _plain_field(tree, rp.params)
+            assert tree_size(tree) == _plain_size(tree)
+            assert gadget_to_json(tree) == _plain_json(tree)
+
+
+def test_a_run_of_one_child_costs_one_edge_ratio(monkeypatch):
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return edge_ratio(x, p)
+
+    monkeypatch.setattr(gadgets, "edge_ratio", counted)
+    singleton = Star(0)
+    costs = []
+    for k in (1, 50):
+        calls.clear()
+        field = gadget_field(Comb([singleton] * k + [Star(3)]), P)
+        costs.append(len(calls))
+        assert field == _plain_field(Comb([Star(0) for _ in range(k)] + [Star(3)]), P)
+    assert costs[0] == costs[1]

@@ -75,6 +75,27 @@ def test_dump_json_matches_stdlib_on_same_shape_rows(rows):
     assert dump_json({"rows": rows}) == oracle_dump({"rows": rows})
 
 
+@st.composite
+def shared_elements(draw):
+    """A document whose arrays hold one dict or list object several times, in
+    runs of the same object and interleaved with others and with a scalar,
+    at two depths."""
+    containers = (st.dictionaries(keys, documents, max_size=3)
+                  | st.lists(documents, max_size=3) | same_shape_rows())
+    pieces = draw(st.lists(containers, min_size=1, max_size=3)) + [draw(scalars)]
+    picks = st.lists(st.integers(0, len(pieces) - 1), min_size=1, max_size=8)
+    outer = [pieces[i] for i in draw(picks)]
+    inner = [[pieces[i] for i in draw(picks)]] * draw(st.integers(1, 3))
+    return {"outer": outer, "nested": [pieces[-1], *inner, pieces[-1], *outer]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_elements())
+def test_dump_json_matches_stdlib_on_repeated_objects(doc):
+    assert dump_json(doc) == oracle_dump(doc)
+    assert dump_json(doc["outer"]) == oracle_dump(doc["outer"])
+
+
 EDGE_CASES = {
     "nan": math.nan,
     "inf": math.inf,
