@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import reductions as red
-from .construct import certify as certify_construct
+from .construct import _check_depth, certify as certify_construct
 from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_json,
                    graph_to_json, partition_and_field, partition_function)
 from .errors import CapacityError, DomainError, NumericError
@@ -41,10 +41,26 @@ def finite_float(text: str) -> float:
     return x
 
 
+def _fraction(text: str) -> Fraction:
+    """The exact value of a rational flag or a graph file's decimal.
+
+    Fraction builds 10**exponent in full, so a decimal whose exponent has a
+    larger magnitude than Python's int-digit limit (4,300 by default), which
+    the same files' int literals already obey, is refused.
+    """
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if e and limit and abs(int(exponent)) > limit:
+        raise DomainError(f"the exponent of {text!r} exceeds {limit} in magnitude")
+    return Fraction(text)
+
+
 def _scalar(text: str, mode: str):
     """Parse a finite numeric flag; rational mode keeps it exact."""
     try:
-        return Fraction(text) if mode == "rational" else finite_float(text)
+        return _fraction(text) if mode == "rational" else finite_float(text)
+    except DomainError:
+        raise
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a number: {text!r}") from exc
 
@@ -61,9 +77,11 @@ def _load_graph(path: str, mode: str):
     num = Fraction if mode == "rational" else float
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=num)
+            doc = json.load(fh, parse_float=_fraction if num is Fraction else float)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except DomainError as exc:  # a decimal exponent past the int-digit limit
+        raise DomainError(f"{path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     return graph_from_json(doc, num)
@@ -269,6 +287,7 @@ def cmd_sweep(args) -> int:
             rows = [(t, field, consts.mu_star, field / consts.mu_star, bound)
                     for t, field, bound in tree_convergence(rp, args.t_max, consts)]
         else:
+            _check_depth(args.ell_max)  # before any row is computed
             rows = []
             for ell in range(args.ell_max + 1):
                 for j in range(1, args.targets + 1):

@@ -195,12 +195,17 @@ def _construct(ell: int, target: float, rp: RecursionParams,
     return Comb(tuple(singletons + [b.gadget for b in branches] + [tail])), [rec] + below
 
 
-def _prepare(ell: int, target: float, rp: RecursionParams,
-             constants: Optional[DecayConstants]) -> tuple[float, DecayConstants]:
+def _check_depth(ell: int) -> None:
+    """Refuse a depth the construction does not build: ell < 0 or past DEPTH_LIMIT."""
     if ell < 0:
         raise DomainError("depth ell must be a non-negative integer")
     if ell > DEPTH_LIMIT:
         raise CapacityError(f"depth ell={ell} exceeds the limit {DEPTH_LIMIT}")
+
+
+def _prepare(ell: int, target: float, rp: RecursionParams,
+             constants: Optional[DecayConstants]) -> tuple[float, DecayConstants]:
+    _check_depth(ell)
     bound = construction_field_bound(rp.params, rp.d)
     if not rp.params.mu > bound:
         raise DomainError(

@@ -18,16 +18,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import CapacityError
+
 _RationalLike = (int, Fraction)
+_TRIAL_LIMIT = 10 ** 6  # the largest trial divisor of a radicand
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s*s*m and m squarefree; n must be positive."""
+    """Return (s, m) with n = s*s*m and m squarefree; n must be positive.
+
+    Trial division stops at _TRIAL_LIMIT.  The cofactor left then has no
+    prime factor up to the limit: a square joins s, and one below
+    _TRIAL_LIMIT**3 has at most two prime factors, so, not a square, it is
+    squarefree.  Any other cofactor raises CapacityError.
+    """
     if n <= 0:
         raise ValueError("radicand must be positive")
+    radicand = n
     s, m = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_LIMIT:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -37,6 +47,16 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1 if d == 2 else 2
+    if d * d <= n:  # the trial division stopped early
+        root = math.isqrt(n)
+        if root * root == n:
+            return s * root, m
+        if n >= _TRIAL_LIMIT ** 3:
+            bits = radicand.bit_length()  # a long radicand is named by its length
+            name = radicand if bits <= 1000 else f"of {bits} bits"
+            raise CapacityError(f"cannot split the radicand {name} into a square and a "
+                                f"squarefree part: its cofactor {n.bit_length()} bits "
+                                f"long has no prime factor up to {_TRIAL_LIMIT}")
     return s, m * n
 
 

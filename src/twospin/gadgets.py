@@ -8,13 +8,14 @@ the uniform mu.  Its effective field obeys the product recursion
 so arbitrary gadget trees evaluate exactly without materialising the graph:
 Star(w) is a w-star rooted at the centre (field mu * edge_ratio(mu)**w) and
 DaryTree(d, t) is the depth-t complete d-ary tree (t applications of the
-level map to mu).  `gadget_field`, `tree_size` and `gadget_to_json` visit
-each distinct node once: every node is memoised by identity, a d-ary level
-also by (d, t), and a run of one child object inside a comb is one visit.
-So a depth-t tree costs O(t) even though it has d**t leaves, and the k
-singleton children that one construction level shares cost one visit, not
-k.  `materialize` emits the explicit graph for cross-checks against the
-exhaustive evaluator.
+level map to mu).  `gadget_field`, `tree_size` and `gadget_to_json` are
+one fold over the tree (`_fold`), which visits each node once per position
+it holds, except that a run of one child object inside a comb is one visit.
+A d-ary tree is one visit too: its field comes from a per-(d, t) level
+cache, its size and JSON from (d, t) alone.  So a depth-t tree costs O(t)
+even though it has d**t leaves, and the k singleton children that one
+construction level shares cost one visit, not k.  `materialize` emits the
+explicit graph for cross-checks against the exhaustive evaluator.
 """
 
 from __future__ import annotations
@@ -83,69 +84,61 @@ class Comb(_Comb):
 GadgetTree = Union[Star, DaryTree, Comb]
 
 
+def _fold(tree: GadgetTree, star, dary, comb):
+    """Fold the gadget bottom-up: star(w) and dary(d, t) give a leaf's value,
+    comb(values) a comb's from its children's values in order.  A run of one
+    child object is folded once, and comb gets that value object repeated."""
+    def fold(node):
+        if isinstance(node, Comb):
+            values = prev = []  # a fresh list is no child, so the first one is folded
+            for child in node.children:
+                if child is not prev:
+                    prev, value = child, fold(child)
+                values.append(value)
+            return comb(values)
+        if isinstance(node, Star):
+            return star(node.w)
+        if isinstance(node, DaryTree):
+            return dary(node.d, node.t)
+        raise DomainError(f"not a gadget tree node: {node!r}")
+
+    return fold(tree)
+
+
 def gadget_field(tree: GadgetTree, p: SpinParams):
     """Exact effective field of the gadget via the product recursion.
 
-    Costs O(distinct nodes): every node is memoised by identity (a d-ary
-    level also by (d, t)), and a run of one child object inside a Comb
-    takes one edge_ratio.  The product is still taken left to right, one
+    Costs one visit per run of one child object, as `_fold` does, and one
+    edge_ratio per run.  The product is still taken left to right, one
     factor per copy, so the value is the plain recursion's, bit for bit.
     """
-    memo = {}  # id(node) -> field; every node is reachable from tree meanwhile
     levels = {}  # d -> fields of the d-ary trees of depth 0, 1, ...
 
-    def f(node):
-        val = memo.get(id(node))
-        if val is not None:
-            return val
-        if isinstance(node, Comb):
-            val, prev = p.mu, None
-            for child in node.children:
-                if child is not prev:
-                    prev, ratio = child, edge_ratio(f(child), p)
-                val = val * ratio
-        elif isinstance(node, Star):
-            val = p.mu * edge_ratio(p.mu, p) ** node.w
-        elif isinstance(node, DaryTree):
-            val = levels.setdefault(node.d, [p.mu])
-            while len(val) <= node.t:  # iterative, so deep chains do not recurse
-                val.append(p.mu * edge_ratio(val[-1], p) ** node.d)
-            val = val[node.t]
-        else:
-            raise DomainError(f"not a gadget tree node: {node!r}")
-        memo[id(node)] = val
+    def dary(d, t):
+        fields = levels.setdefault(d, [p.mu])
+        while len(fields) <= t:  # iterative, so deep chains do not recurse
+            fields.append(p.mu * edge_ratio(fields[-1], p) ** d)
+        return fields[t]
+
+    def comb(fields):
+        val, prev = p.mu, None
+        for x in fields:
+            if x is not prev:  # a run's field is one object: one edge_ratio
+                prev, ratio = x, edge_ratio(x, p)
+            val = val * ratio
         return val
 
-    return f(tree)
+    return _fold(tree, lambda w: p.mu * edge_ratio(p.mu, p) ** w, dary, comb)
 
 
 def tree_size(tree: GadgetTree) -> int:
     """Vertex count of the materialised gadget (computed structurally).
 
-    Costs O(distinct nodes), as `gadget_field` does.
+    Costs one visit per run of one child object, as `gadget_field` does.
     """
-    memo = {}  # id(node) -> size, as in gadget_field
-
-    def size(node) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Comb):
-            got, prev = 1, None
-            for child in node.children:
-                if child is not prev:
-                    prev, each = child, size(child)
-                got += each
-        elif isinstance(node, Star):
-            got = node.w + 1
-        elif isinstance(node, DaryTree):
-            got = node.t + 1 if node.d == 1 else (node.d ** (node.t + 1) - 1) // (node.d - 1)
-        else:
-            raise DomainError(f"not a gadget tree node: {node!r}")
-        memo[id(node)] = got
-        return got
-
-    return size(tree)
+    return _fold(tree, lambda w: w + 1,
+                 lambda d, t: t + 1 if d == 1 else (d ** (t + 1) - 1) // (d - 1),
+                 lambda sizes: 1 + sum(sizes))
 
 
 def materialize(tree: GadgetTree, p: SpinParams,
@@ -178,11 +171,9 @@ def materialize(tree: GadgetTree, p: SpinParams,
                         edges.append((parent, child))
                         nxt.append(child)
                 frontier = nxt
-        elif isinstance(node, Comb):
+        else:  # a Comb: tree_size has refused any other node
             for child in node.children:
                 edges.append((root, build(child)))
-        else:
-            raise DomainError(f"not a gadget tree node: {node!r}")
         return root
 
     root = build(tree)
@@ -220,29 +211,9 @@ def tree_convergence(rp: RecursionParams, t_max: int,
 #                      "children": [...]}
 
 def gadget_to_json(tree: GadgetTree) -> dict:
-    """Nested JSON form of the gadget, in O(distinct nodes): each distinct
-    node becomes one dict, which every occurrence of the node shares, so a
-    comb's k singleton children are k references to one dict."""
-    docs = {}  # id(node) -> its dict
-
-    def doc(node) -> dict:
-        got = docs.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Comb):
-            got, prev = [], None
-            for child in node.children:
-                if child is not prev:
-                    prev, each = child, doc(child)
-                got.append(each)
-            got = {"kind": "comb", "children": got}
-        elif isinstance(node, Star):
-            got = {"kind": "star", "w": node.w}
-        elif isinstance(node, DaryTree):
-            got = {"kind": "tree", "d": node.d, "t": node.t}
-        else:
-            raise DomainError(f"gadget {node!r} has no JSON form")
-        docs[id(node)] = got
-        return got
-
-    return doc(tree)
+    """Nested JSON form of the gadget, one visit per run of one child object:
+    a run's copies are references to one dict, so a comb's k singleton
+    children are written once and repeated by `dump_json`."""
+    return _fold(tree, lambda w: {"kind": "star", "w": w},
+                 lambda d, t: {"kind": "tree", "d": d, "t": t},
+                 lambda docs: {"kind": "comb", "children": docs})

@@ -2,7 +2,9 @@
 ``src/twospin``, and every module uses each name it imports.
 
 A name that only the tests call is not part of any feature, so it should
-be deleted, not exported.  Both checks read the sources with ``ast``.
+be deleted, not exported.  Both checks read the sources with ``ast``, as
+does the check that the independent references import nothing of the
+package.
 """
 
 import ast
@@ -66,3 +68,22 @@ def test_every_imported_name_is_used():
             continue
         unused = sorted(set(bound) - _references(tree))
         assert unused == [], f"{name} imports {unused} and never uses them"
+
+
+# References that must share no code with the package they check
+INDEPENDENT = [Path(__file__).resolve().parent / "oracles.py",
+               *(Path(__file__).resolve().parents[1] / "bench" / name
+                 for name in ("check.py", "workloads.py"))]
+
+
+def test_independent_references_import_nothing_from_twospin():
+    for path in INDEPENDENT:
+        modules = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+        assert modules, f"{path.name} has no imports: is it the right file?"
+        found = [m for m in modules if m.split(".")[0] == "twospin"]
+        assert found == [], f"{path.name} imports {found}"

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from twospin import (FieldedGraph, NumericError, SpinParams, core, effective_fie
                      gadget_field, graph_from_json, is_exact, partition_function)
 from twospin.cli import main
 from twospin.gadgets import DEPTH_LIMIT
+from twospin.serialize import exact_str
 
 K2_DOC = {"beta": 1, "gamma": 2,
           "vertices": [{"id": "u", "field": 2}, {"id": "v", "field": 2}],
@@ -461,6 +463,19 @@ def test_sweep_tree_csv(capsys):
     assert all(r <= b for r, b in zip(ratios, bounds))
     fields = [float(line.split(",")[1]) for line in lines[1:]]
     assert fields == sorted(fields, reverse=True)
+
+
+def test_sweep_refuses_a_deep_ell_max_before_any_row(capsys, monkeypatch):
+    import twospin.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "certify_construct", lambda *a: calls.append(a))
+    code = main(["sweep", "--kind", "construct-error", *DEEP_POINT,
+                 "--ell-max", str(DEPTH_LIMIT + 1)])
+    captured = capsys.readouterr()
+    assert code == 3 and calls == [] and captured.out == ""
+    assert captured.err == (f"capacity error: depth ell={DEPTH_LIMIT + 1} "
+                            f"exceeds the limit {DEPTH_LIMIT}\n")
 
 
 def test_sweep_construct_error_csv(capsys):
@@ -910,6 +925,64 @@ def test_malformed_graph_numbers_exit_2_naming_the_key(tmp_path, capsys, key, te
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"domain error: malformed graph document: {name} = ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E+10000000", "1e-10000000",
+                                  "2.5e100000000", "1e4301", "1e-4301"])
+@pytest.mark.parametrize("source", ["flag", "graph"])
+def test_rational_exponent_beyond_the_int_digit_limit_exits_2(tmp_path, capsys,
+                                                                text, source):
+    # Fraction would build 10**exponent in full: 10**(10**8) takes longer than 30 s
+    if source == "flag":
+        argv = ["eval", "--input", write_doc(tmp_path, K2_DOC), "--beta", text]
+    else:
+        path = tmp_path / "g.json"
+        path.write_text(K2_TEXT % (1, text))
+        argv = ["eval", "--input", str(path)]
+    start = time.perf_counter()
+    code = main([*argv, "--mode", "rational"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("domain error: ")
+    assert f"the exponent of {text!r} exceeds 4300 in magnitude" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["1e-4300", "2.5E-4300"])
+def test_rational_exponent_at_the_int_digit_limit_is_read(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(K2_TEXT % (1, text))
+    code, out = run(capsys, ["eval", "--input", str(path), "--mode", "rational",
+                             "--beta", text])
+    assert code == 0
+    assert json.loads(out)["Z_exact"] == exact_str(partition_function(
+        FieldedGraph((("u", Fraction(text)), ("v", 2)), (("u", "v"),)),
+        SpinParams(Fraction(text), 2, 1)))
+
+
+def test_radicand_with_a_large_prime_factor_is_split_quickly(tmp_path, capsys):
+    # beta*gamma = 2 * 10000000000000061 / 10**16; trial division up to the
+    # square root of each radicand took 17 s for this command
+    path = write_doc(tmp_path, {**K2_DOC, "vertices": [{"id": "u", "field": 1},
+                                                       {"id": "v", "field": 1}]})
+    argv = ["reduce", "--kind", "bipartite", "--mode", "rational", "--input", path,
+            "--gamma", "2", "--mu-prime", "2", "--beta"]
+    start = time.perf_counter()
+    code, out = run(capsys, [*argv, "1.0000000000000061"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["verified"] is True
+    # at 12 significant digits the document is beta = 1's
+    assert run(capsys, [*argv, "1"]) == (0, out)
+
+    # a cofactor of 60 bits with no prime factor up to 10**6 is refused
+    start = time.perf_counter()
+    code = main([*argv, "1.000000000000000003"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("capacity error: cannot split the radicand ")
     assert len(captured.err.splitlines()) == 1
 
 

@@ -1,11 +1,13 @@
 """Quadratic-extension arithmetic used by the exact reduction certificates."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from twospin.exact import Quad, half_power, is_exact, sqrt_fraction
+from twospin import CapacityError
+from twospin.exact import Quad, _squarefree_split, half_power, is_exact, sqrt_fraction
 
 
 def test_sqrt_fraction_normalises_radicands():
@@ -16,6 +18,22 @@ def test_sqrt_fraction_normalises_radicands():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)  # perfect square
     with pytest.raises(ValueError):
         sqrt_fraction(0)
+
+
+def test_radicands_with_prime_factors_past_the_trial_limit():
+    # trial division stops at 10**6; 1000003, 1000033 and 1000037 are the
+    # primes just above it, 999999999989 the largest below 10**12
+    p, q, r, big = 1000003, 1000033, 1000037, 999999999989
+    start = time.perf_counter()
+    assert _squarefree_split(12 * p * q) == (2, 3 * p * q)  # a cofactor below 10**18
+    assert _squarefree_split(12 * big) == (2, 3 * big)
+    assert sqrt_fraction(Fraction(7 * big ** 2, 4)) == Quad(0, Fraction(big, 2), 7)
+    assert _squarefree_split(5 * (p * q * r) ** 2) == (p * q * r, 5)  # a square cofactor
+    with pytest.raises(CapacityError, match="radicand 3000219004293010989 "):
+        _squarefree_split(3 * p * q * r)  # may be p**2 * q: not knowable cheaply
+    with pytest.raises(CapacityError, match="radicand of 2062 bits "):
+        _squarefree_split(2 ** 2000 * 3 * p * q * r)
+    assert time.perf_counter() - start < 2
 
 
 def test_same_extension_for_related_radicands():

@@ -265,6 +265,37 @@ def test_walkers_equal_the_plain_recursion_on_the_construct_grid(beta, gamma, mu
             assert gadget_to_json(tree) == _plain_json(tree)
 
 
+def _shared_gadgets():
+    """Gadgets that share a node in non-adjacent positions, which no run covers."""
+    a, b = Comb((Star(2), DaryTree(2, 3))), Star(1)
+    yield Comb((a, b, a))
+    yield Comb((a, Comb((b, a, b)), a, a, DaryTree(2, 3), DaryTree(2, 3)))
+    node = Star(3)
+    for _ in range(10):  # c[k+1] = Comb((c[k], Star(0), c[k])): 2**10 copies of Star(3)
+        node = Comb((node, Star(0), node))
+    yield node
+
+
+@pytest.mark.parametrize("p", [P, SpinParams(0.9, 1.5, 12.0),
+                               SpinParams(Fraction(4, 5), Fraction(2), Fraction(40))])
+def test_walkers_equal_the_plain_recursion_on_random_and_shared_gadgets(p):
+    rng = random.Random(19)
+    trees = [random_gadget_tree(rng, rng.randint(1, 60)) for _ in range(60)]
+    for tree in trees + list(_shared_gadgets()):
+        assert gadget_field(tree, p) == _plain_field(tree, p)
+        assert tree_size(tree) == _plain_size(tree)
+        assert gadget_to_json(tree) == _plain_json(tree)
+
+
+@pytest.mark.parametrize("bad", ["leaf", None])
+def test_every_walker_refuses_an_unknown_node(bad):
+    tree = Comb((Star(1), Comb((bad, DaryTree(2, 1)))))
+    for walk in (lambda t: gadget_field(t, P), tree_size, gadget_to_json,
+                 lambda t: materialize(t, P)):
+        with pytest.raises(DomainError, match=f"not a gadget tree node: {bad!r}"):
+            walk(tree)
+
+
 def test_a_run_of_one_child_costs_one_edge_ratio(monkeypatch):
     calls = []
 
