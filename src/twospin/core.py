@@ -12,18 +12,19 @@ evaluation and every reduction certificate are checked against.  One
 variable-elimination engine serves every number type, and `exact.is_exact`
 alone picks the tables: when beta, gamma and every field are ints, Fractions
 or Quads, the tables hold Python integers over one common denominator (a
-number of Q(sqrt(m)) as a 2x2 integer block), and Z is that one integer
-over the denominator, reduced once, so identities can be verified with no
-rounding and with no Fraction or Quad arithmetic inside the engine; when
-any of them is a float, every weight goes to a log table (the float range
-never limits log Z).  The min-degree order is planned on the graph alone,
-and eliminating v spans v and its neighbours rest: O(n log n + sum of
-2^(|rest|+1)) on either path.  A graph whose buckets span more than the
-limit (default 24) vertices, w + 1 > limit at width w, is refused before any
-table is built.  The effective field is one elimination that keeps the
-output (never eliminates it, so it counts in its neighbours' buckets) and
-ends with its table (Z(output=0), Z(output=1)), whose sum is Z.  The
-tables are numpy arrays; the engine imports numpy.
+bare integer per entry, or a 2x2 integer block for a number of
+Q(sqrt(m))), each vertex's row is folded into one of its edge tables, and
+Z is that one integer over the denominator, reduced once, so identities can
+be verified with no rounding and with no Fraction or Quad arithmetic inside
+the engine; when any of them is a float, every weight goes to a log table
+(the float range never limits log Z).  The min-degree order is planned on
+the graph alone, and eliminating v spans v and its neighbours rest:
+O(n log n + sum of 2^(|rest|+1)) on either path.  A graph whose buckets
+span more than the limit (default 24) vertices, w + 1 > limit at width w,
+is refused before any table is built.  The effective field is one
+elimination that keeps the output (never eliminates it, so it counts in its
+neighbours' buckets) and ends with its table (Z(output=0), Z(output=1)),
+whose sum is Z.  The tables are numpy arrays; the engine imports numpy.
 """
 
 from __future__ import annotations
@@ -285,19 +286,13 @@ def _radicand(values) -> int:
     return found[0] if found else 1
 
 
-def _lift(x, m: int):
-    """x = (a + b*sqrt(m)) / d as (block, d) with integers a, b, d.
-
-    The block is [[a, m*b], [b, a]], the matrix of multiplication by
-    a + b*sqrt(m) on the basis (1, sqrt(m)), or [[a]] when m == 1: products
-    of numbers are matrix products of their blocks, and sums are sums.
-    """
-    import numpy as np
-
-    a, b = (x.a, x.b) if isinstance(x, Quad) else (Fraction(x), 0)
+def _lift(x) -> tuple:
+    """x = (a + b*sqrt(m)) / d as integers (a, b, d); b = 0 for an int or Fraction."""
+    if not isinstance(x, Quad):
+        return x.numerator, 0, x.denominator
+    a, b = x.a, x.b
     d = math.lcm(a.denominator, b.denominator)
-    a, b = a.numerator * d // a.denominator, b.numerator * d // b.denominator
-    return np.array([[a, m * b], [b, a]] if m > 1 else [[a]], dtype=object), d
+    return a.numerator * d // a.denominator, b.numerator * d // b.denominator, d
 
 
 def _partition_exact(graph: FieldedGraph, params: SpinParams,
@@ -305,47 +300,92 @@ def _partition_exact(graph: FieldedGraph, params: SpinParams,
     """Z(kept spins = s) for each s in binary order, with no rounding.
 
     One value, Z, when ``keep`` is empty.  Fraction-free elimination: beta,
-    gamma and every field are lifted once to an integer block over an
-    integer denominator (`_lift`), each factor table is built from integer
-    blocks with its denominator multiplied into one D, and each result is
-    its block over D, reduced once.  With beta = B/db and gamma = G/dg,
-    every edge table times db*dg has the integer entries B*dg, db*dg and
-    G*db, and a vertex row [f, 1] times f's denominator df is [F, df]; so
-    D = (prod of df) * (db*dg)**(number of edges).  The results are Quads
-    when the graph has a vertex and beta, gamma or a field is a Quad (as
-    with Quad arithmetic), else Fractions.
+    gamma and every field are lifted once to integers a + b*sqrt(m) over an
+    integer denominator (`_lift`).  With beta = B/db and gamma = G/dg, every
+    edge table times db*dg has the integer entries B*dg, db*dg and G*db,
+    and a vertex row [f, 1] times f's denominator df is [F, df], so each
+    result is an integer over D = (prod of df) * (db*dg)**(number of edges),
+    reduced once.  Each vertex row (with its self-loops) is multiplied into
+    the first pair table that holds the vertex; only a vertex in no pair
+    table has a table of its own.  Entries are computed in Python integers
+    and each table is made by one object-array call: an entry is an int on
+    a trailing axis of size 1 when m == 1 (elementwise products), else the
+    block [[a, m*b], [b, a]] of multiplication by a + b*sqrt(m) (matrix
+    products).  The results are Quads when the graph has a vertex and beta,
+    gamma or a field is a Quad (as with Quad arithmetic), else Fractions.
     """
     import numpy as np
 
     beta, gamma = params.beta, params.gamma
     fields = [f for _, f in graph.vertices]
     m = _radicand([beta, gamma] + fields)
-    (B, db), (G, dg) = _lift(beta, m), _lift(gamma, m)
-    unit = np.identity(len(B), dtype=object)
+
+    if m > 1:  # a + b*sqrt(m) as the pair (a, b); an entry is its 2x2 block
+        unit, mul = np.identity(2, dtype=object), np.matmul
+
+        def number(a, b):
+            return a, b
+
+        def times(x, y):
+            return x[0] * y[0] + m * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def entry(x):
+            return [[x[0], m * x[1]], [x[1], x[0]]]
+    else:  # an int; the unit is an array, as a bare int reaching a ufunc becomes int64
+        unit, mul, times = np.array([1], dtype=object), np.multiply, operator.mul
+
+        def number(a, b):
+            return a
+
+        def entry(x):
+            return [x]
+
+    def power(x, k):  # x**k by repeated squaring
+        out = number(1, 0)
+        while k:
+            if k & 1:
+                out = times(out, x)
+            k >>= 1
+            if k:
+                x = times(x, x)
+        return out
+
+    B, B1, db = _lift(beta)
+    G, G1, dg = _lift(gamma)
     loops, mult = _multiplicities(graph)
     # the edge weights beta, 1, gamma times db*dg, to the power of each
     # self-loop count and edge multiplicity
-    weights = {k: [np.linalg.matrix_power(x, k) for x in (B * dg, unit * (db * dg), G * db)]
-               for k in {*loops, *mult.values()}}
-    factors = []
+    weights = {k: (power(number(B * dg, B1 * dg), k), number((db * dg) ** k, 0),
+                   power(number(G * db, G1 * db), k)) for k in {*loops, *mult.values()}}
     denominator = (db * dg) ** len(graph.edges)
+    rows = []
     for i, f in enumerate(fields):
-        F, df = _lift(f, m)
+        F, F1, df = _lift(f)
         denominator *= df
         beta_k, _, gamma_k = weights[loops[i]]
-        factors.append(((i,), np.array([F @ beta_k, df * gamma_k], dtype=object)))
+        rows.append((times(number(F, F1), beta_k), times(number(df, 0), gamma_k)))
+    factors = []
     for (i, j), k in mult.items():
         beta_k, mixed_k, gamma_k = weights[k]
         table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
-        factors.append(((i, j), np.array(table, dtype=object)))
+        if rows[i]:  # vertex i's row scales the rows of the table
+            table = [[times(x, r) for x in row] for row, r in zip(table, rows[i])]
+            rows[i] = None
+        if rows[j]:  # vertex j's row scales its columns
+            table = [[times(x, r) for x, r in zip(row, rows[j])] for row in table]
+            rows[j] = None
+        factors.append(((i, j), np.array([[entry(x) for x in row] for row in table],
+                                         dtype=object)))
+    factors += [((i,), np.array([entry(x) for x in row], dtype=object))
+                for i, row in enumerate(rows) if row]
     kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
-    z = _eliminate(factors, graph.n, kept, unit, np.matmul, np.add, limit)
+    z = _eliminate(factors, graph.n, kept, unit, mul, np.add, limit)
 
     quad = graph.n and any(isinstance(x, Quad) for x in [beta, gamma] + fields)
     values = []
-    for b in np.reshape(z, (-1, *unit.shape)):
-        a = Fraction(b[0, 0], denominator)
-        values.append(Quad(a, Fraction(b[1, 0], denominator) if m > 1 else 0, m)
+    for b in np.reshape(z, (-1, unit.size)):  # b[2] is the sqrt part of a block
+        a = Fraction(b[0], denominator)
+        values.append(Quad(a, Fraction(b[2], denominator) if m > 1 else 0, m)
                       if quad else a)
     return values
 

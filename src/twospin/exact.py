@@ -79,12 +79,18 @@ def sqrt_fraction(x) -> "Fraction | Quad":
     return Quad(0, coeff, m)
 
 
-def half_power(x, k: int):
-    """Exact x**(k/2) for a positive rational x and any integer k."""
+def half_power(x, k: int, root=None):
+    """Exact x**(k/2) for a positive rational x and any integer k.
+
+    ``root``, when given, is sqrt(x): an odd k then takes no square root of
+    its own, whose radicand split is the costly part.
+    """
     x = _rational(x)
     q, r = divmod(k, 2)
     whole = x ** q
-    return whole * sqrt_fraction(x) if r else whole
+    if not r:
+        return whole
+    return whole * (sqrt_fraction(x) if root is None else root)
 
 
 def is_exact(*values) -> bool:
@@ -195,6 +201,8 @@ class Quad:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.b == 0 and o.a:  # a rational divisor needs no conjugate, as in __mul__
+            return Quad(self.a / o.a, self.b / o.a, self.m)
         m = self._join_radicand(o)
         denom = o.a * o.a - o.b * o.b * m
         if denom == 0:

@@ -79,9 +79,10 @@ def _power(x, k, what: str):
         raise NumericError(f"{what} overflows a float") from None
 
 
-def _half_power(x, k: int, what: str):
-    """x**(k/2); exact (Fraction/Quad) for an exact x, else `_power`."""
-    return half_power(x, k) if is_exact(x) else _power(x, k / 2, what)
+def _half_power(x, k: int, what: str, root):
+    """x**(k/2); exact (Fraction/Quad) for an exact x, where ``root`` is
+    sqrt(x), so that no further square root is taken; else `_power`."""
+    return half_power(x, k, root) if is_exact(x) else _power(x, k / 2, what)
 
 
 def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT
@@ -165,9 +166,10 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
     part_l, part_r = _bipartition(graph, left)
 
     deg = graph.degrees()
-    q = 1 / _sqrt(beta * gamma)
-    ratio = gamma / beta
-    up = {d: _half_power(ratio, d, f"(gamma/beta)**({d}/2)") for d in set(deg.values())}
+    root = _sqrt(beta * gamma)  # the one square root: sqrt(gamma/beta) = root/beta
+    q, ratio, root_ratio = 1 / root, gamma / beta, root / beta
+    up = {d: _half_power(ratio, d, f"(gamma/beta)**({d}/2)", root_ratio)
+          for d in set(deg.values())}
     fields = {v: mu_prime * up[deg[v]] for v in part_l}
     if not is_exact(mu_prime):  # R's fields, up[deg] / mu', stay below a finite up[deg]
         for v in part_l:
@@ -367,9 +369,10 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     if not beta > 0:
         raise DomainError("requires beta > 0")
 
+    # the one square root: sqrt(gamma/beta) = a/beta and sqrt(beta/gamma) = a/gamma
     a = _sqrt(beta * gamma)
     down = beta / gamma
-    scale = _half_power(gamma / beta, len(graph.edges), "sqrt(gamma/beta)**|E|")
+    scale = _half_power(gamma / beta, len(graph.edges), "sqrt(gamma/beta)**|E|", a / beta)
 
     if graph.n == 1 and not graph.edges:
         # edgeless singleton: Z = field + 1 on both sides, scale is 1
@@ -385,7 +388,9 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
                 f"vertex {v!r} has degree {deg[v]} < 2; contract pendants and strip "
                 "isolated vertices first")
 
-    shrink = {d: _half_power(down, d, f"(beta/gamma)**({d}/2)") for d in set(deg.values())}
+    root_down = a / gamma
+    shrink = {d: _half_power(down, d, f"(beta/gamma)**({d}/2)", root_down)
+              for d in set(deg.values())}
     new_fields = {}
     for (v, _), f in zip(graph.vertices, fields):
         nf = f * shrink[deg[v]]

@@ -136,6 +136,51 @@ def test_exact_mode_returns_fractions():
     assert isinstance(z, Fraction)
 
 
+BIG = 2 ** 64 + 13  # past int64, so a table entry that became an int64 would wrap or raise
+
+
+def _int_parts(x) -> list:
+    """Every numerator and denominator inside a Fraction or a Quad."""
+    parts = (x.a, x.b) if isinstance(x, Quad) else (x,)
+    return [n for f in parts for n in (f.numerator, f.denominator)]
+
+
+@pytest.mark.parametrize("number", [
+    lambda x: x,  # rational
+    lambda x: Quad(x, Fraction(3, BIG), 2),  # in Q(sqrt(2))
+], ids=["rational", "quad"])
+@pytest.mark.parametrize("edges", [
+    [],
+    [("a", "a"), ("a", "a"), ("a", "a")],
+    [("a", "a"), ("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")],
+], ids=["edgeless", "self-loops only", "loops beside edges"])
+@pytest.mark.parametrize("ids", ["a", "abc"], ids=["single vertex", "three vertices"])
+def test_exact_tables_stay_python_ints(number, edges, ids):
+    # numerators and denominators past 2**63 in every weight: the exact
+    # result is the oracle's number, of the oracle's type, with int parts,
+    # for Z and for every kept output
+    edges = [(u, v) for u, v in edges if {u, v} <= set(ids)]
+    fields = {v: number(Fraction(BIG + k, 3 ** 41 + k)) for k, v in enumerate(ids)}
+    beta, gamma = number(Fraction(BIG, 7 ** 23)), number(Fraction(5 ** 30, BIG - 2))
+    p = SpinParams(beta, gamma, 1)
+    kind = Quad if isinstance(beta, Quad) else Fraction
+    z = partition_function(FieldedGraph(fields, edges), p)
+    assert z == brute_z(fields, edges, beta, gamma)
+    assert type(z) is kind and all(type(n) is int for n in _int_parts(z))
+    for out in ids:
+        z, field = partition_and_field(FieldedGraph(fields, edges, out), p)
+        assert z == brute_z(fields, edges, beta, gamma)
+        assert field == brute_effective_field(fields, edges, beta, gamma, out)
+        for x in (z, field):
+            assert type(x) is kind and all(type(n) is int for n in _int_parts(x))
+
+
+def test_exact_z_of_the_empty_graph_is_the_fraction_one():
+    for beta in (Fraction(BIG, 3), Quad(1, 1, 2)):
+        z = partition_function(FieldedGraph({}, []), SpinParams(beta, beta, 1))
+        assert z == 1 and type(z) is Fraction
+
+
 def test_mixed_radicands_are_rejected():
     # sqrt(2) and sqrt(3) share no field Q(sqrt(m)): no exact Z to return
     sqrt2, sqrt3 = Quad(0, 1, 2), Quad(0, 1, 3)

@@ -78,6 +78,12 @@ def test_division_by_conjugate():
     assert inv == s2 - 1
     with pytest.raises(ZeroDivisionError):
         (1 + s2) / Quad(0)
+    # a rational divisor, zero included, gives what its conjugate path gives
+    assert (1 + s2) / Fraction(2, 3) == Quad(Fraction(3, 2), Fraction(3, 2), 2)
+    assert str(s2 / 3) == "1/3*sqrt(2)" and str(s2 / Fraction(1, 2)) == "2*sqrt(2)"
+    for zero in (0, Fraction(0), Quad(0)):
+        with pytest.raises(ZeroDivisionError):
+            s2 / zero
 
 
 def test_incompatible_radicands_rejected():

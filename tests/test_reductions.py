@@ -463,6 +463,44 @@ def test_to_ising_exact_quad_certificate():
     assert z_in == cert.scale * z_out
 
 
+def test_one_square_root_split_per_certificate(monkeypatch):
+    # beta*gamma is no square, there are five edges and degrees 1, 2 and 3:
+    # sqrt(gamma/beta) and sqrt(beta/gamma) come from the one sqrt(beta*gamma),
+    # with the values (and strings) of their own square roots
+    from twospin import exact
+
+    beta, gamma = Fraction(2, 3), Fraction(3)
+    up, down = gamma / beta, beta / gamma
+    tree = FieldedGraph({v: 1 for v in "abcde"},
+                        [("a", "b"), ("a", "c"), ("a", "d"), ("e", "b"), ("e", "c")])
+    core = FieldedGraph({v: 1 for v in "abcd"},
+                        [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
+    mu_prime, ising = Fraction(2), SpinParams(beta, gamma, Fraction(3, 2))
+    want_fields = {"bipartite": {v: mu_prime * exact.half_power(up, d) if v in "ae"
+                                 else exact.half_power(up, d) / mu_prime
+                                 for v, d in tree.degrees().items()},
+                   "ising": {v: exact.half_power(down, d) for v, d in core.degrees().items()}}
+    want_scale = {"bipartite": gamma ** 5 / mu_prime ** 3, "ising": exact.half_power(up, 5)}
+
+    calls = []
+    split = exact._squarefree_split
+    monkeypatch.setattr(exact, "_squarefree_split", lambda n: calls.append(n) or split(n))
+    certs = {"bipartite": bipartite_transform(tree, mu_prime, ising, left=["a", "e"]),
+             "ising": to_ising(core, ising)}
+    assert len(calls) == 2  # one each
+    for kind, cert in certs.items():
+        fields = cert.output.graph.field_map
+        assert fields == want_fields[kind] and cert.scale == want_scale[kind]
+        assert {v: str(f) for v, f in fields.items()} == {
+            v: str(f) for v, f in want_fields[kind].items()}
+        assert str(cert.scale) == str(want_scale[kind])
+    assert isinstance(certs["ising"].scale, Quad)
+    calls.clear()  # the pipeline peels e, then rebalances core
+    pendant = FieldedGraph({v: 1 for v in "abcde"}, core.edges + (("d", "e"),))
+    assert verify_reduction(ising_pipeline(pendant, ising)).verified
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # composite pipeline and verification plumbing
 
