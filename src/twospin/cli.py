@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_j
 from .errors import CapacityError, DomainError, NumericError
 from .gadgets import (MATERIALIZE_LIMIT, gadget_to_json, materialize, star_convergence,
                       tree_convergence)
-from .instances import random_bipartite_graph, random_graph
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
                         mu_star_bracket, solve_mu_star, uniqueness_threshold)
 from .serialize import SCHEMA_VERSION, dump_csv, dump_json, exact_str
@@ -188,26 +186,6 @@ def _certificate(args, graph, params, left):
     return red.ising_pipeline(graph, params)
 
 
-def _random_instances(args):
-    """(graph, left part, params) of each seeded random trial."""
-    if args.kind not in ("bipartite", "pipeline"):
-        raise DomainError(f"--random-trials supports bipartite/pipeline, not {args.kind}")
-    params = _params(args, SpinParams(0, 0, 1))  # --beta and --gamma are given
-    if args.kind == "pipeline" and args.mu is None:
-        # the largest field the Ising step accepts
-        if not params.beta > 0:
-            raise DomainError("--kind pipeline needs --beta > 0")
-        params = SpinParams(params.beta, params.gamma, params.gamma / params.beta)
-    if args.random_trials < 0:
-        raise DomainError(f"--random-trials must be >= 0, got {args.random_trials}")
-    rng = random.Random(args.seed)
-    for _ in range(args.random_trials):
-        if args.kind == "bipartite":
-            yield (*random_bipartite_graph(rng), params)
-        else:
-            yield random_graph(rng, field=params.mu), None, params
-
-
 def _reduce_selfloop(args) -> int:
     if None in (args.beta, args.gamma, args.mu, args.target, args.m):
         raise DomainError("--kind selfloop needs --beta --gamma --mu --target --m")
@@ -231,21 +209,10 @@ def _reduce_selfloop(args) -> int:
 def cmd_reduce(args) -> int:
     if args.kind == "selfloop":
         return _reduce_selfloop(args)
-    if args.random_trials:
-        if args.beta is None or args.gamma is None:
-            raise DomainError("--random-trials needs --beta and --gamma")
-    elif args.input is None:
+    if args.input is None:
         raise DomainError(f"--kind {args.kind} needs --input (a graph JSON file)")
     if args.kind == "bipartite" and args.mu_prime is None:
         raise DomainError("--kind bipartite needs --mu-prime")
-
-    if args.random_trials:
-        failures = [i for i, (graph, left, params) in enumerate(_random_instances(args))
-                    if not red.verify_reduction(_certificate(args, graph, params, left),
-                                                limit=args.enum_limit).verified]
-        _emit(args, {"kind": args.kind, "random_trials": args.random_trials,
-                     "seed": args.seed, "failures": failures, "all_verified": not failures})
-        return 4 if failures else 0
 
     graph, base = _load_graph(args.input, args.mode)
     left = args.left.split(",") if args.left else None
@@ -336,8 +303,7 @@ COMMANDS = {
         cmd_reduce, "partition-preserving transforms with certificates",
         "kinds: bipartite (needs --input --mu-prime --beta --gamma), "
         "selfloop (--beta --gamma --mu --target --m), contract/ising/"
-        "pipeline (--input, params from file or flags). "
-        "--random-trials N verifies N seeded random instances.", {
+        "pipeline (--input, params from file or flags).", {
             "--kind": {"required": True,
                        "choices": ["bipartite", "selfloop", "contract", "ising", "pipeline"]},
             "--input": {"help": "graph JSON path"},
@@ -347,10 +313,7 @@ COMMANDS = {
             "--target": {"help": "field to realise (selfloop)"},
             "--m": {"type": int, "help": "precision parameter (selfloop)"},
             "--no-verify": {"action": "store_true"},
-            "--random-trials": {"type": int, "default": 0},
-            "--output": _OUTPUT, "--mode": _MODE, "--enum-limit": _ENUM_LIMIT,
-            "--seed": {"type": int, "default": 0,
-                       "help": "seed for the Mersenne Twister instance generator"}}),
+            "--output": _OUTPUT, "--mode": _MODE, "--enum-limit": _ENUM_LIMIT}),
     "sweep": (
         cmd_sweep, "CSV convergence/error sweeps",
         "CSV columns -- " + " | ".join(f"{kind}: {columns}"

@@ -8,23 +8,23 @@ multigraphs: parallel edges multiply, and a self-loop on v contributes beta
 (spin 0) or gamma (spin 1) per loop.
 
 Evaluation is exact, so it is the ground truth that the recursive gadget
-evaluation and every reduction certificate are checked against.  One
-variable-elimination engine serves every number type, and `exact.is_exact`
-alone picks the tables: when beta, gamma and every field are ints, Fractions
-or Quads, the tables hold Python integers over one common denominator (a
-bare integer per entry, or a 2x2 integer block for a number of
-Q(sqrt(m))), each vertex's row is folded into one of its edge tables, and
-Z is that one integer over the denominator, reduced once, so identities can
-be verified with no rounding and with no Fraction or Quad arithmetic inside
-the engine; when any of them is a float, every weight goes to a log table
-(the float range never limits log Z).  The min-degree order is planned on
-the graph alone, and eliminating v spans v and its neighbours rest:
-O(n log n + sum of 2^(|rest|+1)) on either path.  A graph whose buckets
-span more than the limit (default 24) vertices, w + 1 > limit at width w,
-is refused before any table is built.  The effective field is one
-elimination that keeps the output (never eliminates it, so it counts in its
-neighbours' buckets) and ends with its table (Z(output=0), Z(output=1)),
-whose sum is Z.  The tables are numpy arrays; the engine imports numpy.
+evaluation and every reduction certificate are checked against.  One table
+builder and one variable-elimination engine serve two number systems, and
+`exact.is_exact` alone picks the system: when beta, gamma and every field
+are ints, Fractions or Quads, the entries are Python integers over one
+common denominator (a bare integer per entry, or a 2x2 integer block for a
+number of Q(sqrt(m))), and Z is that one integer over the denominator,
+reduced once, so identities can be verified with no rounding and with no
+Fraction or Quad arithmetic inside the engine; when any of them is a float,
+the entries are logs (the float range never limits log Z).  In both, each
+vertex's row is folded into one of its edge tables.  The min-degree order
+is planned on the graph alone, and eliminating v spans v and its neighbours
+rest: O(n log n + sum of 2^(|rest|+1)).  A graph whose buckets span more
+than the limit (default 24) vertices, w + 1 > limit at width w, is refused
+before any table is built.  The effective field is one elimination that
+keeps the output (never eliminates it, so it counts in its neighbours'
+buckets) and ends with its table (Z(output=0), Z(output=1)), whose sum is
+Z.  The tables are numpy arrays; the engine imports numpy.
 """
 
 from __future__ import annotations
@@ -153,20 +153,6 @@ class FieldedGraph(_FieldedGraph):
         return FieldedGraph(new, self.edges, self.output)
 
 
-def _multiplicities(graph: FieldedGraph):
-    """Self-loops per vertex position, and parallel edges per position pair i < j."""
-    pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    loops = [0] * len(pos)
-    mult = Counter()
-    for u, v in graph.edges:
-        i, j = sorted((pos[u], pos[v]))
-        if i == j:
-            loops[i] += 1
-        else:
-            mult[i, j] += 1
-    return loops, mult
-
-
 def _plan(factors: list, n: int, keep: tuple, limit: int) -> list:
     """Min-degree order from the factor scopes alone: one (v, rest) per step.
 
@@ -250,120 +236,46 @@ def _eliminate(factors: list, n: int, keep: tuple, unit, mul, add, limit: int):
     return mul(z, fold(range(len(factors)), sorted(keep))) if keep else z
 
 
-def _log_partition_float(graph: FieldedGraph, params: SpinParams,
-                         keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
-    """log Z(kept spins = s) for each s in binary order on the float path.
+def _evaluate(graph: FieldedGraph, params: SpinParams, keep: tuple, limit: int,
+              lift, times, power, cell, unit, mul, add) -> tuple:
+    """The one table builder: (numerators, denominator) in a number system,
+    Z(kept spins = s) = numerators[s] / denominator for each s in binary
+    order, with one numerator, not a table, when ``keep`` is empty.
 
-    One value, log Z, when ``keep`` is empty; -inf where that Z is 0.  Tables
-    hold logs, so the product is a sum and the sum a log-sum-exp, and no
-    entry leaves the float range.
+    The system is ``lift(x)``, x as a (numerator, denominator) pair;
+    ``times``; ``power(x, k)``, which is the one at k = 0 even for a zero x;
+    ``cell(x)``, x as a table entry; and the engine's ``unit``, ``mul`` and
+    ``add`` (`_eliminate`).  With beta = B/db and gamma = G/dg, every edge
+    table times db*dg has the entries B*dg, db*dg and G*db, and a vertex row
+    [f, 1] times f's denominator df is [F, df], so the denominator is
+    D = (prod of df) * (db*dg)**(number of edges).  Each vertex row (with its
+    self-loops) is multiplied into the first pair table that holds the
+    vertex; only a vertex in no pair table has a table of its own.
     """
     import numpy as np
 
-    def weight(x, k):
-        """log(x**k)."""
-        return k * math.log(x) if x > 0 else (-math.inf if k else 0.0)
-
-    beta, gamma = params.beta, params.gamma
-    loops, mult = _multiplicities(graph)
-    factors = []
-    for i, (v, f) in enumerate(graph.vertices):
-        row = [weight(f, 1) + weight(beta, loops[i]), weight(gamma, loops[i])]
-        factors.append(((i,), np.array(row, dtype=float)))
-    for (i, j), k in mult.items():
-        table = [[weight(beta, k), 0.0], [0.0, weight(gamma, k)]]
-        factors.append(((i, j), np.array(table, dtype=float)))
-    kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
-    z = _eliminate(factors, graph.n, kept, 0.0, np.add, np.logaddexp, limit)
-    return [float(x) for x in np.ravel(z)]
-
-
-def _radicand(values) -> int:
-    """The one m of the Quads among values that have a sqrt part; 1 if none."""
-    found = list(dict.fromkeys(x.m for x in values if isinstance(x, Quad) and x.b))
-    if len(found) > 1:
-        raise ValueError(f"incompatible radicands sqrt({found[0]}) vs sqrt({found[1]})")
-    return found[0] if found else 1
-
-
-def _lift(x) -> tuple:
-    """x = (a + b*sqrt(m)) / d as integers (a, b, d); b = 0 for an int or Fraction."""
-    if not isinstance(x, Quad):
-        return x.numerator, 0, x.denominator
-    a, b = x.a, x.b
-    d = math.lcm(a.denominator, b.denominator)
-    return a.numerator * d // a.denominator, b.numerator * d // b.denominator, d
-
-
-def _partition_exact(graph: FieldedGraph, params: SpinParams,
-                     keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
-    """Z(kept spins = s) for each s in binary order, with no rounding.
-
-    One value, Z, when ``keep`` is empty.  Fraction-free elimination: beta,
-    gamma and every field are lifted once to integers a + b*sqrt(m) over an
-    integer denominator (`_lift`).  With beta = B/db and gamma = G/dg, every
-    edge table times db*dg has the integer entries B*dg, db*dg and G*db,
-    and a vertex row [f, 1] times f's denominator df is [F, df], so each
-    result is an integer over D = (prod of df) * (db*dg)**(number of edges),
-    reduced once.  Each vertex row (with its self-loops) is multiplied into
-    the first pair table that holds the vertex; only a vertex in no pair
-    table has a table of its own.  Entries are computed in Python integers
-    and each table is made by one object-array call: an entry is an int on
-    a trailing axis of size 1 when m == 1 (elementwise products), else the
-    block [[a, m*b], [b, a]] of multiplication by a + b*sqrt(m) (matrix
-    products).  The results are Quads when the graph has a vertex and beta,
-    gamma or a field is a Quad (as with Quad arithmetic), else Fractions.
-    """
-    import numpy as np
-
-    beta, gamma = params.beta, params.gamma
-    fields = [f for _, f in graph.vertices]
-    m = _radicand([beta, gamma] + fields)
-
-    if m > 1:  # a + b*sqrt(m) as the pair (a, b); an entry is its 2x2 block
-        unit, mul = np.identity(2, dtype=object), np.matmul
-
-        def number(a, b):
-            return a, b
-
-        def times(x, y):
-            return x[0] * y[0] + m * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-        def entry(x):
-            return [[x[0], m * x[1]], [x[1], x[0]]]
-    else:  # an int; the unit is an array, as a bare int reaching a ufunc becomes int64
-        unit, mul, times = np.array([1], dtype=object), np.multiply, operator.mul
-
-        def number(a, b):
-            return a
-
-        def entry(x):
-            return [x]
-
-    def power(x, k):  # x**k by repeated squaring
-        out = number(1, 0)
-        while k:
-            if k & 1:
-                out = times(out, x)
-            k >>= 1
-            if k:
-                x = times(x, x)
-        return out
-
-    B, B1, db = _lift(beta)
-    G, G1, dg = _lift(gamma)
-    loops, mult = _multiplicities(graph)
+    pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    loops, mult = [0] * graph.n, Counter()  # self-loops per position, edges per i < j
+    for u, v in graph.edges:
+        i, j = sorted((pos[u], pos[v]))
+        if i == j:
+            loops[i] += 1
+        else:
+            mult[i, j] += 1
+    (B, db), (G, dg) = lift(params.beta), lift(params.gamma)
+    scale = times(db, dg)
     # the edge weights beta, 1, gamma times db*dg, to the power of each
     # self-loop count and edge multiplicity
-    weights = {k: (power(number(B * dg, B1 * dg), k), number((db * dg) ** k, 0),
-                   power(number(G * db, G1 * db), k)) for k in {*loops, *mult.values()}}
-    denominator = (db * dg) ** len(graph.edges)
+    weights = {k: (power(times(B, dg), k), power(scale, k), power(times(G, db), k))
+               for k in {*loops, *mult.values()}}
+    denominator = power(scale, len(graph.edges))
     rows = []
-    for i, f in enumerate(fields):
-        F, F1, df = _lift(f)
-        denominator *= df
+    for i, (_, f) in enumerate(graph.vertices):
+        F, df = lift(f)
+        denominator = times(denominator, df)
         beta_k, _, gamma_k = weights[loops[i]]
-        rows.append((times(number(F, F1), beta_k), times(number(df, 0), gamma_k)))
+        rows.append((times(F, beta_k), times(df, gamma_k)))
+    dtype = np.asarray(unit).dtype
     factors = []
     for (i, j), k in mult.items():
         beta_k, mixed_k, gamma_k = weights[k]
@@ -374,20 +286,104 @@ def _partition_exact(graph: FieldedGraph, params: SpinParams,
         if rows[j]:  # vertex j's row scales its columns
             table = [[times(x, r) for x, r in zip(row, rows[j])] for row in table]
             rows[j] = None
-        factors.append(((i, j), np.array([[entry(x) for x in row] for row in table],
-                                         dtype=object)))
-    factors += [((i,), np.array([entry(x) for x in row], dtype=object))
+        factors.append(((i, j), np.array([list(map(cell, row)) for row in table],
+                                         dtype=dtype)))
+    factors += [((i,), np.array(list(map(cell, row)), dtype=dtype))
                 for i, row in enumerate(rows) if row]
     kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
-    z = _eliminate(factors, graph.n, kept, unit, mul, np.add, limit)
+    return _eliminate(factors, graph.n, kept, unit, mul, add, limit), denominator
 
-    quad = graph.n and any(isinstance(x, Quad) for x in [beta, gamma] + fields)
-    values = []
+
+def _log_partition_float(graph: FieldedGraph, params: SpinParams,
+                         keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
+    """log Z(kept spins = s) for each s in binary order on the float path.
+
+    One value, log Z, when ``keep`` is empty; -inf where that Z is 0.  Tables
+    hold logs, so the product is a sum, the sum a log-sum-exp and every
+    denominator log 1 = 0, and no entry leaves the float range.
+    """
+    import numpy as np
+
+    def lift(x):
+        return (math.log(x) if x > 0 else -math.inf), 0.0
+
+    def power(x, k):  # log(x**k); 0 at k = 0, also for log 0
+        return k * x if k else 0.0
+
+    z, _ = _evaluate(graph, params, keep, limit, lift, operator.add, power, float,
+                     0.0, np.add, np.logaddexp)
+    return [float(x) for x in np.ravel(z)]
+
+
+def _partition_exact(graph: FieldedGraph, params: SpinParams,
+                     keep: tuple, *, limit: int = ENUM_LIMIT) -> list:
+    """Z(kept spins = s) for each s in binary order, with no rounding.
+
+    One value, Z, when ``keep`` is empty.  Fraction-free elimination: beta,
+    gamma and every field are lifted once to integers a + b*sqrt(m) over an
+    integer denominator, and the result is reduced once.  Entries are
+    computed in Python integers and each table is made by one object-array
+    call: an entry is an int on a trailing axis of size 1 when m == 1
+    (elementwise products), else the block [[a, m*b], [b, a]] of
+    multiplication by a + b*sqrt(m) (matrix products).  The results are
+    Quads when the graph has a vertex and beta, gamma or a field is a Quad
+    (as with Quad arithmetic), else Fractions.
+    """
+    import numpy as np
+
+    values = [params.beta, params.gamma] + [f for _, f in graph.vertices]
+    radicands = list(dict.fromkeys(x.m for x in values if isinstance(x, Quad) and x.b))
+    if len(radicands) > 1:
+        raise ValueError(f"incompatible radicands sqrt({radicands[0]}) vs sqrt({radicands[1]})")
+    m = radicands[0] if radicands else 1
+
+    if m > 1:  # a + b*sqrt(m) as the pair (a, b); an entry is its 2x2 block
+        unit, mul = np.identity(2, dtype=object), np.matmul
+
+        def number(a, b):
+            return a, b
+
+        def times(x, y):
+            return x[0] * y[0] + m * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        def power(x, k):  # x**k by repeated squaring
+            out = 1, 0
+            while k:
+                if k & 1:
+                    out = times(out, x)
+                k >>= 1
+                if k:
+                    x = times(x, x)
+            return out
+
+        def cell(x):
+            return [[x[0], m * x[1]], [x[1], x[0]]]
+    else:  # an int; the unit is an array, as a bare int reaching a ufunc becomes int64
+        unit, mul, times, power = np.array([1], dtype=object), np.multiply, operator.mul, pow
+
+        def number(a, b):
+            return a
+
+        def cell(x):
+            return [x]
+
+    def lift(x):  # x = (a + b*sqrt(m)) / d as (number(a, b), number(d, 0))
+        if not isinstance(x, Quad):
+            return number(x.numerator, 0), number(x.denominator, 0)
+        a, b = x.a, x.b
+        d = math.lcm(a.denominator, b.denominator)
+        return (number(a.numerator * d // a.denominator, b.numerator * d // b.denominator),
+                number(d, 0))
+
+    z, denominator = _evaluate(graph, params, keep, limit, lift, times, power, cell,
+                               unit, mul, np.add)
+    denominator = denominator[0] if m > 1 else denominator
+    quad = graph.n and any(isinstance(x, Quad) for x in values)
+    out = []
     for b in np.reshape(z, (-1, unit.size)):  # b[2] is the sqrt part of a block
         a = Fraction(b[0], denominator)
-        values.append(Quad(a, Fraction(b[2], denominator) if m > 1 else 0, m)
-                      if quad else a)
-    return values
+        out.append(Quad(a, Fraction(b[2], denominator) if m > 1 else 0, m) if quad else a)
+    return out
 
 
 def _exp(log_value: float, what: str) -> float:

@@ -20,10 +20,11 @@ explicit graph for cross-checks against the exhaustive evaluator.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Union
 
 from .core import FieldedGraph, SpinParams
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, NumericError
 from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio
 
 MATERIALIZE_LIMIT = 10 ** 6
@@ -181,12 +182,20 @@ def materialize(tree: GadgetTree, p: SpinParams,
 
 
 def star_convergence(p: SpinParams, w_max: int) -> list[tuple[int, float, float]]:
-    """(w, field, mu*beta**w) for w = 0..w_max; fields decrease to 0."""
+    """(w, field, mu*beta**w) for w = 0..w_max; a field or bound beyond the
+    float range is a NumericError that names its column."""
     ratio = edge_ratio(p.mu, p)
     out = []
     field = p.mu
     for w in range(w_max + 1):
-        out.append((w, field, p.mu * p.beta ** w))
+        try:
+            bound = p.mu * p.beta ** w
+        except OverflowError:
+            bound = math.inf
+        for name, x in (("field", field), ("beta_power_bound", bound)):
+            if not math.isfinite(x):
+                raise NumericError(f"the star sweep's {name} overflows a float at w = {w}")
+        out.append((w, field, bound))
         field = field * ratio
     return out
 
@@ -195,8 +204,6 @@ def tree_convergence(rp: RecursionParams, t_max: int,
                      constants: DecayConstants | None = None
                      ) -> list[tuple[int, float, float]]:
     """(t, field, exp(c**t * iota)) for t = 0..t_max; field/mu_star obeys the bound."""
-    import math
-
     C = constants if constants is not None else decay_constants(rp)
     out = []
     field = rp.params.mu

@@ -304,7 +304,8 @@ def hardness_thresholds(p: SpinParams, d: int | None = None) -> HardnessThreshol
     if not beta * gamma > 1:
         raise DomainError("requires a ferromagnetic system (beta*gamma > 1)")
     s = math.sqrt(beta * gamma)
-    Delta = _in_float_range("Delta", lambda: math.floor((s + 1) / (s - 1)) + 1)
+    # an s of inf makes the ratio nan, which _in_float_range also refuses
+    Delta = math.floor(_in_float_range("Delta", lambda: (s + 1) / (s - 1))) + 1
     if d is None:
         d = min_arity(p)
     local = _in_float_range("mu_bound_local_fields", lambda: (gamma / beta) ** (Delta / 2))

@@ -1,15 +1,14 @@
 """Seeded random instances for verification sweeps.
 
 All generators draw from a caller-supplied ``random.Random`` (Mersenne
-Twister), so a seed pins the whole sweep; the test suite and the CLI's
-random verification modes both document their seeds.
+Twister), so a seed pins the whole sweep; each test documents its seed.
 """
 
 from __future__ import annotations
 
 import random
 
-from .core import FieldedGraph
+from twospin import FieldedGraph
 
 
 MAX_DEGREE = 5

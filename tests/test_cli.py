@@ -415,17 +415,11 @@ def test_one_number_policy(tmp_path, capsys):
         partition_function(isolated, SpinParams(Fraction(1), Fraction(1), 1))
 
 
-def test_reduce_random_trials(capsys):
-    code, out = run(capsys, ["reduce", "--kind", "pipeline", "--random-trials",
-                             "10", "--seed", "1", "--beta", "0.8", "--gamma", "2"])
-    assert code == 0
-    assert json.loads(out)["all_verified"] is True
-
-
-def test_reduce_missing_flags_domain_error(capsys):
+def test_reduce_missing_flags_domain_error(tmp_path, capsys):
     assert run(capsys, ["reduce", "--kind", "pipeline"])[0] == 2
-    assert run(capsys, ["reduce", "--kind", "bipartite", "--random-trials", "3",
-                        "--beta", "1", "--gamma", "2"])[0] == 2
+    path = write_doc(tmp_path, PATH_DOC)
+    assert main(["reduce", "--kind", "bipartite", "--input", path]) == 2
+    assert capsys.readouterr().err == "domain error: --kind bipartite needs --mu-prime\n"
 
 
 def test_reduce_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -746,18 +740,6 @@ GOLDEN_REDUCE_SELFLOOP = """\
 }
 """
 
-GOLDEN_REDUCE_RANDOM = """\
-{
-  "all_verified": true,
-  "command": "reduce",
-  "failures": [],
-  "kind": "pipeline",
-  "random_trials": 3,
-  "schema": 1,
-  "seed": 1
-}
-"""
-
 GOLDEN_SWEEP_STAR = """\
 w,field,beta_power_bound
 0,20,20
@@ -785,8 +767,6 @@ def test_golden_bytes(tmp_path, capsys):
              GOLDEN_CONSTRUCT),
             ("reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100",
              GOLDEN_REDUCE_SELFLOOP),
-            ("reduce --kind pipeline --random-trials 3 --seed 1 --beta 0.8 --gamma 2",
-             GOLDEN_REDUCE_RANDOM),
             ("sweep --kind star --beta 1 --gamma 2 --mu 20 --w-max 3", GOLDEN_SWEEP_STAR)]:
         assert run(capsys, argv.split()) == (0, golden), argv
 
@@ -843,8 +823,6 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
     ["eval", "--input", "{missing}"],
     ["reduce", "--kind", "contract", "--input", "{malformed}"],
     ["sweep", "--kind", "tree", "--beta", "1", "--gamma", "2"],
-    ["reduce", "--kind", "pipeline", "--random-trials", "3", "--beta", "0", "--gamma", "2"],
-    ["reduce", "--kind", "pipeline", "--random-trials", "-3", "--beta", "0.8", "--gamma", "2"],
     ["reduce", "--kind", "ising", "--input", "{k2}", "--beta", "0", "--mu", "2"],
     ["eval", "--input", "{triple}"],
     ["eval", "--input", "{single}"],
@@ -867,15 +845,21 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
     ["construct", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "1",
      "--target", "12", "--materialize", "{unwritable}"],
     ["fixpoint", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--tol", "-1"],
+    ["thresholds", "--beta", "2.206216874300683e+77", "--gamma", "1e308"],
+    ["sweep", "--kind", "star", "--beta", "3", "--gamma", "4", "--mu", "1e300",
+     "--w-max", "1000"],
+    ["sweep", "--kind", "star", "--beta", "3", "--gamma", "4", "--mu", "1e300",
+     "--w-max", "100"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
-        "random-pipeline-beta-0", "random-trials-negative", "ising-beta-0",
+        "ising-beta-0",
         "edge-of-three", "edge-of-one", "float-file-beta-infinity", "selfloop-target-inf",
         "selfloop-mu-inf", "sweep-w-max-negative", "sweep-t-max-negative",
         "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
-        "materialize-unwritable", "fixpoint-tol-negative"])
-def test_input_errors_exit_2_without_traceback(tmp_path, argv):
+        "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
+        "sweep-star-w-max-1000", "sweep-star-w-max-100"])
+def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
              "malformed": str(tmp_path / "bad.json"),
@@ -889,8 +873,12 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv):
     argv = [arg.format(**files) for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
                           capture_output=True, text=True, env=_subprocess_env())
+    # a result beyond the float range is a numeric error that names the quantity
+    numeric = {"thresholds-delta-nan": "numeric error: Delta overflows a float",
+               "sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
+               "sweep-star-w-max-100": "numeric error: the star sweep's field overflows"}
     assert proc.returncode == 2
-    assert proc.stderr.startswith("domain error: ")
+    assert proc.stderr.startswith(numeric.get(request.node.callspec.id, "domain error: "))
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -1134,7 +1122,7 @@ HELP_FLAGS = {
                  "--materialize-limit --output",
     "thresholds": "--beta --gamma --d --output",
     "reduce": "--kind --input --beta --gamma --mu --mu-prime --left --target --m --no-verify "
-              "--random-trials --output --mode --enum-limit --seed",
+              "--output --mode --enum-limit",
     "sweep": "--kind --beta --gamma --mu --d --w-max --t-max --ell-max --targets --delta-reg "
              "--beta-min --beta-max --steps --output",
 }

@@ -458,19 +458,55 @@ def test_graph_to_json_writes_exact_numbers_as_floats():
 
 
 def test_float_and_exact_paths_agree():
+    # Fraction and Quad weights, beta or gamma zero on some cases, self-loops
+    # and parallel edges; Z and, with an output, the effective field
     rng = random.Random(5)
-    for _ in range(10):
+    for case in range(40):
         n = rng.randint(1, 6)
         ids = [f"v{i}" for i in range(n)]
         fields = {v: Fraction(rng.randint(1, 40), 10) for v in ids}
         edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 8))]
-        g = FieldedGraph(fields, edges)
-        p = SpinParams(Fraction(rng.randint(0, 20), 10), Fraction(rng.randint(1, 30), 10), 1)
-        z_exact = partition_function(g, p)
-        z_float = partition_function(
-            g.with_fields({v: float(f) for v, f in fields.items()}),
-            SpinParams(float(p.beta), float(p.gamma), 1.0))
-        assert z_float == pytest.approx(float(z_exact), rel=1e-11)
+        edges += edges[:rng.randint(0, 2)]
+        g = FieldedGraph(fields, edges, output=rng.choice(ids))
+        beta = Fraction(rng.randint(0, 20), 10) if case % 5 else Fraction(0)
+        gamma = Fraction(rng.randint(1, 30), 10) if case % 7 else Fraction(0)
+        if case % 3 == 0:
+            beta, gamma = (Quad(x, Fraction(rng.randint(0, 10), 10), 2) for x in (beta, gamma))
+        p = SpinParams(beta, gamma, 1)
+        floats = (g.with_fields({v: float(f) for v, f in fields.items()}),
+                  SpinParams(float(beta), float(gamma), 1.0))
+        assert partition_function(*floats) == pytest.approx(float(partition_function(g, p)),
+                                                            rel=1e-11)
+        try:
+            field = effective_field(g, p)
+        except DomainError:  # Z(output=1) == 0 on both paths
+            with pytest.raises(DomainError, match=r"Z\(output=1\) is zero"):
+                effective_field(*floats)
+        else:
+            assert effective_field(*floats) == pytest.approx(float(field), rel=1e-11)
+
+
+def test_float_and_exact_paths_share_the_table_builder(monkeypatch):
+    # the two number systems hand the engine the same factor scopes: each
+    # vertex row is folded into its first pair table, so only a vertex with
+    # no edge to another vertex has a unary table
+    scopes = []
+    eliminate = core._eliminate
+
+    def spy(factors, *rest):
+        scopes.append([scope for scope, _ in factors])
+        return eliminate(factors, *rest)
+
+    monkeypatch.setattr(core, "_eliminate", spy)
+    fields = {"a": Fraction(2), "b": Fraction(3), "c": Fraction(1, 2), "d": Fraction(5)}
+    edges = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "c"), ("d", "d")]
+    g = FieldedGraph(fields, edges, output="b")
+    floats = g.with_fields({v: float(f) for v, f in fields.items()})
+    for graph, params in ((g, SpinParams(Fraction(3, 2), Fraction(2), 1)),
+                          (floats, SpinParams(1.5, 2.0, 1.0))):
+        partition_function(graph, params)
+        effective_field(graph, params)
+    assert scopes == [[(0, 1), (1, 2), (3,)]] * 4
 
 
 def test_brute_oracle_agrees_with_exact_mode():

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from instances import random_bipartite_graph, random_graph
 from oracles import brute_effective_field, brute_z, graph_tuple
 from twospin import (CapacityError, DaryTree, DomainError, FieldedGraph, NumericError,
                      Quad, SpinParams, bipartite_transform, contract_certificate,
                      contract_degree_one, effective_field, ising_pipeline, materialize,
                      partition_function, realize_field_selfloops, reductions, to_ising,
                      verify_reduction)
-from twospin.instances import random_bipartite_graph, random_graph
 from twospin.reductions import _least_loops_and_bristles
 
 K2 = FieldedGraph({"u": 1.0, "v": 1.0}, [("u", "v")])
