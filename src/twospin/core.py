@@ -17,7 +17,10 @@ number of Q(sqrt(m))), and Z is that one integer over the denominator,
 reduced once, so identities can be verified with no rounding and with no
 Fraction or Quad arithmetic inside the engine; when any of them is a float,
 the entries are logs (the float range never limits log Z).  In both, each
-vertex's row is folded into one of its edge tables.  The min-degree order
+vertex's row is folded into one of its edge tables, and the tables are
+built in one array pass over the edges.  On logs, a bucket's halves of 256
+entries or more are summed as max(a, b) + log1p(exp(-|a - b|)) in vector
+ufuncs, below that by ``np.logaddexp``.  The min-degree order
 is planned on the graph alone, and eliminating v spans v and its neighbours
 rest: O(n log n + sum of 2^(|rest|+1)).  A graph whose buckets span more
 than the limit (default 24) vertices, w + 1 > limit at width w, is refused
@@ -41,6 +44,7 @@ from .errors import CapacityError, DomainError, NumericError
 from .exact import Quad, is_exact
 
 ENUM_LIMIT = 24
+_LOG_ADD_CROSSOVER = 256  # entries per half from which `_log_add` runs vector ufuncs
 
 
 def _positive(x) -> bool:
@@ -250,7 +254,10 @@ def _evaluate(graph: FieldedGraph, params: SpinParams, keep: tuple, limit: int,
     [f, 1] times f's denominator df is [F, df], so the denominator is
     D = (prod of df) * (db*dg)**(number of edges).  Each vertex row (with its
     self-loops) is multiplied into the first pair table that holds the
-    vertex; only a vertex in no pair table has a table of its own.
+    vertex; only a vertex in no pair table has a table of its own.  The
+    tables come from one array pass: each edge gathers its multiplicity's
+    table from one cell array, and ``mul`` scales the tables that hold a row
+    by it, rows before columns.
     """
     import numpy as np
 
@@ -274,24 +281,50 @@ def _evaluate(graph: FieldedGraph, params: SpinParams, keep: tuple, limit: int,
         F, df = lift(f)
         denominator = times(denominator, df)
         beta_k, _, gamma_k = weights[loops[i]]
-        rows.append((times(F, beta_k), times(df, gamma_k)))
-    dtype = np.asarray(unit).dtype
-    factors = []
-    for (i, j), k in mult.items():
-        beta_k, mixed_k, gamma_k = weights[k]
-        table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
-        if rows[i]:  # vertex i's row scales the rows of the table
-            table = [[times(x, r) for x in row] for row, r in zip(table, rows[i])]
-            rows[i] = None
-        if rows[j]:  # vertex j's row scales its columns
-            table = [[times(x, r) for x, r in zip(row, rows[j])] for row in table]
-            rows[j] = None
-        factors.append(((i, j), np.array([list(map(cell, row)) for row in table],
-                                         dtype=dtype)))
-    factors += [((i,), np.array(list(map(cell, row)), dtype=dtype))
-                for i, row in enumerate(rows) if row]
+        rows.append((cell(times(F, beta_k)), cell(times(df, gamma_k))))
+    # a vertex's row scales the rows (side 0) or the columns (side 1) of
+    # the first pair table that holds it
+    free, held = [True] * graph.n, ([], [])  # held[side]: (table, vertex) pairs
+    for e, pair in enumerate(mult):
+        for side, x in enumerate(pair):
+            if free[x]:
+                free[x] = False
+                held[side].append((e, x))
+    dtype, block = np.asarray(unit).dtype, np.shape(unit)
+    slot = {k: s for s, k in enumerate(weights)}
+    tables = np.array([[[cell(b), cell(x)], [cell(x), cell(g)]] for b, x, g in weights.values()],
+                      dtype=dtype).reshape(-1, 2, 2, *block)[[slot[k] for k in mult.values()]]
+    rows = np.array(rows, dtype=dtype).reshape(-1, 2, *block)
+    for side, shape in enumerate(((2, 1), (1, 2))):
+        if held[side]:
+            es, xs = map(list, zip(*held[side]))
+            tables[es] = mul(tables[es], rows[xs].reshape(-1, *shape, *block))
+    factors = [*zip(mult, tables), *(((i,), rows[i]) for i in range(graph.n) if free[i])]
     kept = tuple(i for i, (v, _) in enumerate(graph.vertices) if v in keep)
     return _eliminate(factors, graph.n, kept, unit, mul, add, limit), denominator
+
+
+def _log_add(a, b, out=None):
+    """log(exp(a) + exp(b)) entrywise, the float engine's ``add``.
+
+    Halves below `_LOG_ADD_CROSSOVER` entries go to ``np.logaddexp``; larger
+    ones to max(a, b) + log1p(exp(min(a, b) - max(a, b))), the same function
+    (the form ``np.logaddexp`` evaluates one entry at a time) in whole-array
+    ufuncs, with one temporary beside the result.  A pair of -infs (a zero
+    beta or gamma) gives -inf with no floating-point warning.
+    """
+    import numpy as np
+
+    if np.size(a) < _LOG_ADD_CROSSOVER:
+        return np.logaddexp(a, b, out=out)
+    gap = np.minimum(a, b)
+    out = np.maximum(a, b, out=out)  # ``out`` may be ``a``: read a, b before this
+    with np.errstate(invalid="ignore"):  # -inf - -inf is nan
+        np.subtract(gap, out, out=gap)
+    np.fmin(gap, 0.0, out=gap)  # nan to 0: -inf + log(2) is -inf
+    np.exp(gap, out=gap)
+    np.log1p(gap, out=gap)
+    return np.add(out, gap, out=out)
 
 
 def _log_partition_float(graph: FieldedGraph, params: SpinParams,
@@ -311,7 +344,7 @@ def _log_partition_float(graph: FieldedGraph, params: SpinParams,
         return k * x if k else 0.0
 
     z, _ = _evaluate(graph, params, keep, limit, lift, operator.add, power, float,
-                     0.0, np.add, np.logaddexp)
+                     0.0, np.add, _log_add)
     return [float(x) for x in np.ravel(z)]
 
 

@@ -203,12 +203,18 @@ def star_convergence(p: SpinParams, w_max: int) -> list[tuple[int, float, float]
 def tree_convergence(rp: RecursionParams, t_max: int,
                      constants: DecayConstants | None = None
                      ) -> list[tuple[int, float, float]]:
-    """(t, field, exp(c**t * iota)) for t = 0..t_max; field/mu_star obeys the bound."""
+    """(t, field, exp(c**t * iota)) for t = 0..t_max; field/mu_star obeys the
+    bound, and a bound beyond the float range is a NumericError."""
     C = constants if constants is not None else decay_constants(rp)
     out = []
     field = rp.params.mu
     for t in range(t_max + 1):
-        out.append((t, field, math.exp(C.c ** t * C.iota)))
+        try:
+            bound = math.exp(C.c ** t * C.iota)
+        except OverflowError:
+            raise NumericError(
+                f"the tree sweep's ratio_bound overflows a float at t = {t}") from None
+        out.append((t, field, bound))
         field = rp.params.mu * edge_ratio(field, rp.params) ** rp.d
     return out
 

@@ -850,6 +850,8 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
      "--w-max", "1000"],
     ["sweep", "--kind", "star", "--beta", "3", "--gamma", "4", "--mu", "1e300",
      "--w-max", "100"],
+    ["sweep", "--kind", "tree", "--beta", "0.5", "--gamma", "1e300", "--mu", "1e300",
+     "--d", "1", "--t-max", "0"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "ising-beta-0",
@@ -858,7 +860,7 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
         "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
         "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
-        "sweep-star-w-max-1000", "sweep-star-w-max-100"])
+        "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound"])
 def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -876,7 +878,9 @@ def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     # a result beyond the float range is a numeric error that names the quantity
     numeric = {"thresholds-delta-nan": "numeric error: Delta overflows a float",
                "sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
-               "sweep-star-w-max-100": "numeric error: the star sweep's field overflows"}
+               "sweep-star-w-max-100": "numeric error: the star sweep's field overflows",
+               "sweep-tree-bound": "numeric error: the tree sweep's ratio_bound overflows "
+                                   "a float at t = 0"}
     assert proc.returncode == 2
     assert proc.stderr.startswith(numeric.get(request.node.callspec.id, "domain error: "))
     assert len(proc.stderr.splitlines()) == 1

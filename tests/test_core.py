@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -383,6 +384,172 @@ def test_bucket_engine_matches_reference_bit_for_bit(monkeypatch):
     want = evaluate()
     assert [type(x) for x in got] == [type(x) for x in want]
     assert got == want
+
+
+def _reference_factors(graph, params, lift, times, power, cell, unit) -> list:
+    """The factor list as the table builder first made it, kept as a
+    bit-for-bit reference: a loop over the pair tables that scales each one's
+    entries in Python and makes it with its own array call."""
+    import numpy as np
+
+    pos = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    loops, mult = [0] * graph.n, Counter()
+    for u, v in graph.edges:
+        i, j = sorted((pos[u], pos[v]))
+        if i == j:
+            loops[i] += 1
+        else:
+            mult[i, j] += 1
+    (B, db), (G, dg) = lift(params.beta), lift(params.gamma)
+    scale = times(db, dg)
+    weights = {k: (power(times(B, dg), k), power(scale, k), power(times(G, db), k))
+               for k in {*loops, *mult.values()}}
+    rows = []
+    for i, (_, f) in enumerate(graph.vertices):
+        F, df = lift(f)
+        beta_k, _, gamma_k = weights[loops[i]]
+        rows.append((times(F, beta_k), times(df, gamma_k)))
+    dtype = np.asarray(unit).dtype
+    factors = []
+    for (i, j), k in mult.items():
+        beta_k, mixed_k, gamma_k = weights[k]
+        table = [[beta_k, mixed_k], [mixed_k, gamma_k]]
+        if rows[i]:  # vertex i's row scales the rows of the table
+            table = [[times(x, r) for x in row] for row, r in zip(table, rows[i])]
+            rows[i] = None
+        if rows[j]:  # vertex j's row scales its columns
+            table = [[times(x, r) for x, r in zip(row, rows[j])] for row in table]
+            rows[j] = None
+        factors.append(((i, j), np.array([list(map(cell, row)) for row in table],
+                                         dtype=dtype)))
+    factors += [((i,), np.array(list(map(cell, row)), dtype=dtype))
+                for i, row in enumerate(rows) if row]
+    return factors
+
+
+def _multigraph_cases() -> list:
+    """The 150 seeded (graph, params, is_float) cases of
+    test_bucket_engine_matches_reference_bit_for_bit, drawn the same way."""
+    rng = random.Random(31)
+    numbers = {
+        "float": lambda lo, hi: rng.uniform(lo, hi) / 10,
+        "fraction": lambda lo, hi: Fraction(rng.randint(lo, hi), 10),
+        "quad": lambda lo, hi: Quad(Fraction(rng.randint(lo, hi), 10),
+                                    Fraction(rng.randint(0, 10), 10), 2),
+    }
+    cases = []
+    for case in range(150):
+        kind = ("float", "float", "fraction", "quad")[case % 4]
+        num = numbers[kind]
+        n = rng.randint(1, 13)
+        ids = [f"v{i}" for i in range(n)]
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3 * n))]
+        edges += edges[:rng.randint(0, 3)]
+        beta = num(1, 25) if case % 5 else 0 * num(1, 1)
+        gamma = num(1, 30) if case % 7 else 0 * num(1, 1)
+        cases.append((FieldedGraph({v: num(2, 40) for v in ids}, edges),
+                      SpinParams(beta, gamma, 1), kind == "float"))
+    return cases
+
+
+def test_table_builder_matches_reference_bit_for_bit(monkeypatch):
+    # the engine gets the reference builder's factor list: the same scopes in
+    # the same order, and tables of the same dtype and shape with the same
+    # entries (float bits, or Python ints), for Z and for a kept vertex
+    handed, want = [], []
+    evaluate, eliminate = core._evaluate, core._eliminate
+
+    def spy_evaluate(graph, params, keep, limit, lift, times, power, cell, unit, mul, add):
+        want.append(_reference_factors(graph, params, lift, times, power, cell, unit))
+        return evaluate(graph, params, keep, limit, lift, times, power, cell, unit, mul, add)
+
+    def spy_eliminate(factors, *rest):
+        handed.append(list(factors))  # the engine appends to the list as it runs
+        return eliminate(factors, *rest)
+
+    monkeypatch.setattr(core, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(core, "_eliminate", spy_eliminate)
+    cases = _multigraph_cases()
+    for g, p, is_float in cases:
+        evaluate_in = core._log_partition_float if is_float else core._partition_exact
+        evaluate_in(g, p, ())
+        evaluate_in(g, p, (g.vertices[-1][0],))
+    assert len(handed) == len(want) == 2 * len(cases)
+    kinds = set()
+    for got_factors, want_factors in zip(handed, want):
+        assert [s for s, _ in got_factors] == [s for s, _ in want_factors]
+        for (_, got), (_, ref) in zip(got_factors, want_factors):
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            if got.dtype == object:
+                assert [type(x) for x in got.flat] == [int] * ref.size
+                assert list(got.flat) == list(ref.flat)
+            else:
+                assert got.tobytes() == ref.tobytes()
+            kinds.add((got.dtype.kind, got.shape))
+    # floats, ints and Q(sqrt(2)) blocks, as pair and as unary tables
+    assert kinds == {("f", (2, 2)), ("f", (2,)), ("O", (2, 2, 1)), ("O", (2, 1)),
+                     ("O", (2, 2, 2, 2)), ("O", (2, 2, 2))}
+
+
+@pytest.mark.parametrize("size", [255, 256, 4096])
+@pytest.mark.parametrize("use_out", [False, True], ids=["return", "out="])
+def test_log_add_matches_logaddexp(size, use_out):
+    # halves below and from the crossover, as the engine hands them (strided
+    # views of one table), with -inf pairs, one-sided -infs, equal entries
+    # and gaps past 745, where exp of the gap underflows to 0; ulps are
+    # counted at the larger of |result| and |max(a, b)|, since the result is
+    # max(a, b) plus a term in [0, log 2]
+    import warnings
+
+    import numpy as np
+
+    rng = np.random.default_rng(size)
+    table = rng.normal(0, 300, size=(size, 2))
+    table[:size // 8] = -np.inf  # both halves -inf
+    table[size // 8:size // 4, rng.integers(2)] = -np.inf
+    table[size // 4:size // 3, 1] = table[size // 4:size // 3, 0]
+    table[size // 3:size // 2, 1] = table[size // 3:size // 2, 0] - rng.uniform(745, 2000)
+    a, b = table[:, 0], table[:, 1]
+    want, peak = np.logaddexp(a, b), np.maximum(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if use_out:  # as the reference engine calls it: the result over a
+            a = a.copy()
+            got = core._log_add(a, b, out=a)
+            assert got is a
+        else:
+            got = core._log_add(a, b)
+    finite = np.isfinite(want)
+    assert (got[~finite] == -np.inf).all() and (want[~finite] == -np.inf).all()
+    scale = np.maximum(np.abs(want), np.abs(peak))[finite]
+    assert (np.abs(got[finite] - want[finite]) <= 4 * np.spacing(scale)).all()
+    assert finite.sum() == size - size // 8
+
+
+@pytest.mark.parametrize("beta, gamma", [(1.3, 2), (0, 2), (2, 0)])
+def test_float_k12_matches_rational_mode(monkeypatch, beta, gamma):
+    # K12's first bucket spans all 12 vertices, so its halves of 2,048
+    # entries take the vector log-sum-exp, and a zero beta or gamma puts
+    # -inf pairs in them; the graph text is read as `eval` reads it in
+    # float and in rational mode
+    ids = [f"v{i}" for i in range(12)]
+    text = json.dumps({"beta": beta, "gamma": gamma,
+                       "vertices": [{"id": v, "field": 0.25 * (i + 2)} for i, v in enumerate(ids)],
+                       "edges": [[u, v] for i, u in enumerate(ids) for v in ids[:i]],
+                       "output": "v5"})
+    halves = []
+    log_add = core._log_add
+
+    def spy(a, b, *rest, **kwargs):
+        halves.append(a.size)
+        return log_add(a, b, *rest, **kwargs)
+
+    monkeypatch.setattr(core, "_log_add", spy)
+    got = partition_and_field(*graph_from_json(json.loads(text), float))
+    assert max(halves) >= core._LOG_ADD_CROSSOVER
+    want = partition_and_field(*graph_from_json(json.loads(text, parse_float=Fraction), Fraction))
+    assert type(want[0]) is Fraction
+    assert got == pytest.approx([float(x) for x in want], rel=1e-12)
 
 
 def test_validation_errors():
