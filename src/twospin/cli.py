@@ -22,7 +22,7 @@ from . import reductions as red
 from .construct import _check_depth, certify as certify_construct
 from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_json,
                    graph_to_json, partition_and_field, partition_function)
-from .errors import CapacityError, DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError, in_float_range
 from .gadgets import (MATERIALIZE_LIMIT, gadget_to_json, materialize, star_convergence,
                       tree_convergence)
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
@@ -198,8 +198,7 @@ def _reduce_selfloop(args) -> int:
     if not args.no_verify:
         # peeling the y bristles leaves v0 with its x loops: one vertex for any m
         core, _ = red.contract_degree_one(result.gadget, params)
-        if not math.isfinite(core.field_map["v0"]):
-            raise NumericError("the field of v0 with its bristles peeled overflows a float")
+        in_float_range("the field of v0 with its bristles peeled", core.field_map.get, "v0")
         brute = effective_field(core, params, limit=args.enum_limit)
         doc["verified"] = abs(brute - result.achieved) <= 1e-9 * result.achieved
     _emit(args, doc)

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import CapacityError, DomainError, InvariantViolation
-from .gadgets import (DEPTH_LIMIT, Comb, DaryTree, GadgetTree, Star, gadget_field,
-                      tree_size)
+from .errors import CapacityError, DomainError, InvariantViolation, in_float_range
+from .gadgets import (DEPTH_LIMIT, MATERIALIZE_LIMIT, Comb, DaryTree, GadgetTree, Star,
+                      gadget_field, tree_size)
 from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
                         decay_constants, edge_ratio, invert_edge_ratio, least_integer)
 
@@ -146,6 +146,9 @@ def _construct(ell: int, target: float, rp: RecursionParams,
         return Star(k), [rec]
 
     k = max(0, _power_bracket(C.mu_star, hmu, target))
+    if k > MATERIALIZE_LIMIT:  # the comb holds one child per singleton
+        raise CapacityError(f"level ell={ell} needs {k} singleton children, "
+                            f"limit {MATERIALIZE_LIMIT}")
     singletons = [Star(0)] * k
     mu_i = target / hmu ** k
 
@@ -206,7 +209,8 @@ def _check_depth(ell: int) -> None:
 def _prepare(ell: int, target: float, rp: RecursionParams,
              constants: Optional[DecayConstants]) -> tuple[float, DecayConstants]:
     _check_depth(ell)
-    bound = construction_field_bound(rp.params, rp.d)
+    bound = in_float_range("the construction's field bound", construction_field_bound,
+                           rp.params, rp.d)
     if not rp.params.mu > bound:
         raise DomainError(
             f"uniform field mu={rp.params.mu} must exceed {bound} for the "

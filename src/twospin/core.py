@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import CapacityError, DomainError, NumericError
+from .errors import CapacityError, DomainError, in_float_range
 from .exact import Quad, is_exact
 
 ENUM_LIMIT = 24
@@ -419,14 +419,6 @@ def _partition_exact(graph: FieldedGraph, params: SpinParams,
     return out
 
 
-def _exp(log_value: float, what: str) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise NumericError(
-            f"{what} = exp({log_value!r}) overflows a float") from None
-
-
 def partition_function(graph: FieldedGraph, params: SpinParams, *,
                        limit: int = ENUM_LIMIT):
     """Partition function Z by variable elimination.
@@ -438,7 +430,7 @@ def partition_function(graph: FieldedGraph, params: SpinParams, *,
         (z,) = _partition_exact(graph, params, (), limit=limit)
         return z
     (log_z,) = _log_partition_float(graph, params, (), limit=limit)
-    return _exp(log_z, "Z")
+    return in_float_range(f"Z = exp({log_z!r})", math.exp, log_z)
 
 
 def _kept_output(graph: FieldedGraph, params: SpinParams, limit: int) -> tuple:
@@ -456,7 +448,8 @@ def _kept_output(graph: FieldedGraph, params: SpinParams, limit: int) -> tuple:
 
 
 def _ratio(exact: bool, z0, z1):
-    return z0 / z1 if exact else _exp(z0 - z1, "Z(output=0)/Z(output=1)")
+    return z0 / z1 if exact else in_float_range(
+        f"Z(output=0)/Z(output=1) = exp({z0 - z1!r})", math.exp, z0 - z1)
 
 
 def effective_field(graph: FieldedGraph, params: SpinParams, *,
@@ -473,7 +466,8 @@ def partition_and_field(graph: FieldedGraph, params: SpinParams, *,
     import numpy as np
 
     exact, z0, z1 = _kept_output(graph, params, limit)
-    z = z0 + z1 if exact else _exp(float(np.logaddexp(z0, z1)), "Z")
+    log_z = None if exact else float(np.logaddexp(z0, z1))
+    z = z0 + z1 if exact else in_float_range(f"Z = exp({log_z!r})", math.exp, log_z)
     return z, _ratio(exact, z0, z1)
 
 
@@ -482,19 +476,15 @@ def partition_and_field(graph: FieldedGraph, params: SpinParams, *,
 #              "edges": [[u, v], ...], "output": s|null}
 
 def _float(x, what: str) -> float:
-    """x as a float; an exact x beyond the float range is a NumericError."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise NumericError(f"{what} overflows a float") from None
+    """x as a float; an exact x beyond the float range is a NumericError, and
+    a float x is returned as it is."""
+    return x if isinstance(x, float) else in_float_range(what, float, x)
 
 
 def graph_to_json(graph: FieldedGraph, params: SpinParams) -> dict:
     """Graph JSON with every number a float, the one number type `dump_json` writes."""
-    try:
-        vertices = [{"id": v, "field": float(f)} for v, f in graph.vertices]
-    except OverflowError:
-        raise NumericError("a vertex field overflows a float") from None
+    vertices = in_float_range("a vertex field", lambda: [{"id": v, "field": float(f)}
+                                                        for v, f in graph.vertices])
     return {"beta": _float(params.beta, "beta"), "gamma": _float(params.gamma, "gamma"),
             "vertices": vertices, "edges": list(map(list, graph.edges)), "output": graph.output}
 

@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple, Union
 
 from .core import FieldedGraph, SpinParams
-from .errors import CapacityError, DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError, in_float_range
 from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio
 
 MATERIALIZE_LIMIT = 10 ** 6
@@ -183,19 +183,17 @@ def materialize(tree: GadgetTree, p: SpinParams,
 
 def star_convergence(p: SpinParams, w_max: int) -> list[tuple[int, float, float]]:
     """(w, field, mu*beta**w) for w = 0..w_max; a field or bound beyond the
-    float range is a NumericError that names its column."""
+    float range is a NumericError that names its column and row."""
     ratio = edge_ratio(p.mu, p)
     out = []
     field = p.mu
     for w in range(w_max + 1):
         try:
-            bound = p.mu * p.beta ** w
-        except OverflowError:
-            bound = math.inf
-        for name, x in (("field", field), ("beta_power_bound", bound)):
-            if not math.isfinite(x):
-                raise NumericError(f"the star sweep's {name} overflows a float at w = {w}")
-        out.append((w, field, bound))
+            out.append((w, in_float_range("the star sweep's field", lambda: field),
+                        in_float_range("the star sweep's beta_power_bound",
+                                       lambda: p.mu * p.beta ** w)))
+        except NumericError as exc:
+            raise NumericError(f"{exc} at w = {w}") from None
         field = field * ratio
     return out
 
@@ -210,10 +208,9 @@ def tree_convergence(rp: RecursionParams, t_max: int,
     field = rp.params.mu
     for t in range(t_max + 1):
         try:
-            bound = math.exp(C.c ** t * C.iota)
-        except OverflowError:
-            raise NumericError(
-                f"the tree sweep's ratio_bound overflows a float at t = {t}") from None
+            bound = in_float_range("the tree sweep's ratio_bound", math.exp, C.c ** t * C.iota)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at t = {t}") from None
         out.append((t, field, bound))
         field = rp.params.mu * edge_ratio(field, rp.params) ** rp.d
     return out

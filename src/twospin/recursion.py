@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .core import SpinParams
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, in_float_range
 
 
 class _RecursionParams(NamedTuple):
@@ -51,10 +51,7 @@ class RecursionParams(_RecursionParams):
             raise DomainError("recursion requires beta <= 1; use the self-loop reduction for beta > 1")
         if d < 1:
             raise DomainError("arity d must be a positive integer")
-        try:
-            p.gamma ** d  # the largest power the recursion forms
-        except OverflowError:
-            raise NumericError("gamma**d overflows a float") from None
+        in_float_range("gamma**d", pow, p.gamma, d)  # the largest power the recursion forms
         if not p.beta * (p.beta * p.gamma) ** d > 1:
             raise DomainError("need beta*(beta*gamma)**d > 1")
         return super().__new__(cls, params, d)
@@ -214,17 +211,6 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
 # ---------------------------------------------------------------------------
 # thresholds
 
-def _in_float_range(what: str, compute):
-    """compute(), or a NumericError naming `what` when it leaves the float range."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericError(f"{what} overflows a float")
-    return value
-
-
 def uniqueness_threshold(beta: float, degree: int) -> float:
     """Critical field mu_c > 1 for the antiferromagnetic Ising tree recursion.
 
@@ -240,13 +226,15 @@ def uniqueness_threshold(beta: float, degree: int) -> float:
     if not 0 < beta < (degree - 1) / (degree + 1):
         raise DomainError("requires 0 < beta < (degree-1)/(degree+1)")
     b = degree - 1
-    if b * (1 - beta) <= 1 + beta:  # slope at most 1 at the mu = 1 fixed point x = 1
+    coeff = 1 + beta * beta - b * (1 - beta * beta)
+    disc = coeff * coeff - 4 * beta * beta
+    # slope at most 1 at the mu = 1 fixed point x = 1, or float drift at its edge
+    if b * (1 - beta) <= 1 + beta or disc < 0:
         raise DomainError(
             "fixed point already stable at mu = 1 for this (beta, degree) "
             "under branching degree-1; no threshold above 1 exists")
-    coeff = 1 + beta * beta - b * (1 - beta * beta)
-    x = (-coeff + math.sqrt(coeff * coeff - 4 * beta * beta)) / (2 * beta)
-    return _in_float_range("the uniqueness threshold mu_c",
+    x = (-coeff + math.sqrt(disc)) / (2 * beta)
+    return in_float_range("the uniqueness threshold mu_c",
                            lambda: x * ((x + beta) / (beta * x + 1)) ** b)
 
 
@@ -304,14 +292,15 @@ def hardness_thresholds(p: SpinParams, d: int | None = None) -> HardnessThreshol
     if not beta * gamma > 1:
         raise DomainError("requires a ferromagnetic system (beta*gamma > 1)")
     s = math.sqrt(beta * gamma)
-    # an s of inf makes the ratio nan, which _in_float_range also refuses
-    Delta = math.floor(_in_float_range("Delta", lambda: (s + 1) / (s - 1))) + 1
+    # an s of inf makes the ratio nan, which in_float_range also refuses
+    Delta = math.floor(in_float_range("Delta", lambda: (s + 1) / (s - 1))) + 1
     if d is None:
         d = min_arity(p)
-    local = _in_float_range("mu_bound_local_fields", lambda: (gamma / beta) ** (Delta / 2))
+    local = in_float_range("mu_bound_local_fields", lambda: (gamma / beta) ** (Delta / 2))
     if beta <= 1:
-        uniform = _in_float_range("mu_bound_uniform", lambda: gamma ** d * max(
+        uniform = in_float_range("mu_bound_uniform", lambda: gamma ** d * max(
             local, construction_field_bound(p, d) / gamma ** d))
         return HardnessThresholds(Delta, d, local, uniform, None,
                                   note=_UNIFORM_BOUND_NOTE)
-    return HardnessThresholds(Delta, d, local, None, (gamma - 1) / (beta - 1))
+    return HardnessThresholds(Delta, d, local, None, in_float_range(
+        "mu_bound_uniform_large_beta", lambda: (gamma - 1) / (beta - 1)))

@@ -31,7 +31,7 @@ from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (ENUM_LIMIT, FieldedGraph, SpinParams, partition_function)
-from .errors import CapacityError, DomainError, NumericError
+from .errors import CapacityError, DomainError, NumericError, in_float_range
 from .exact import half_power, is_exact, sqrt_fraction
 from .gadgets import MATERIALIZE_LIMIT
 
@@ -67,22 +67,19 @@ def lift(*values) -> tuple:
     return tuple(map(float, values))
 
 
-def _sqrt(x):
-    return sqrt_fraction(x) if is_exact(x) else math.sqrt(x)
-
-
-def _power(x, k, what: str):
-    """x**k, where a float overflow is a NumericError naming ``what``."""
-    try:
-        return x ** k
-    except OverflowError:
-        raise NumericError(f"{what} overflows a float") from None
+def _root(beta, gamma):
+    """sqrt(beta*gamma), exact for exact inputs: the one square root that the
+    bipartite and Ising transforms take."""
+    bg = beta * gamma
+    if not bg:  # sqrt_fraction takes positive values only
+        return bg
+    return in_float_range("sqrt(beta*gamma)", sqrt_fraction if is_exact(bg) else math.sqrt, bg)
 
 
 def _half_power(x, k: int, what: str, root):
     """x**(k/2); exact (Fraction/Quad) for an exact x, where ``root`` is
-    sqrt(x), so that no further square root is taken; else `_power`."""
-    return half_power(x, k, root) if is_exact(x) else _power(x, k / 2, what)
+    sqrt(x), so that no further square root is taken."""
+    return half_power(x, k, root) if is_exact(x) else in_float_range(what, pow, x, k / 2)
 
 
 def verify_reduction(cert: ReductionCertificate, *, limit: int = ENUM_LIMIT
@@ -166,18 +163,17 @@ def bipartite_transform(graph: FieldedGraph, mu_prime, target: SpinParams,
     part_l, part_r = _bipartition(graph, left)
 
     deg = graph.degrees()
-    root = _sqrt(beta * gamma)  # the one square root: sqrt(gamma/beta) = root/beta
+    root = _root(beta, gamma)  # sqrt(gamma/beta) = root/beta
     q, ratio, root_ratio = 1 / root, gamma / beta, root / beta
     up = {d: _half_power(ratio, d, f"(gamma/beta)**({d}/2)", root_ratio)
           for d in set(deg.values())}
     fields = {v: mu_prime * up[deg[v]] for v in part_l}
     if not is_exact(mu_prime):  # R's fields, up[deg] / mu', stay below a finite up[deg]
         for v in part_l:
-            if math.isinf(fields[v]):
-                raise NumericError(f"transformed field of {v!r} overflows a float")
+            in_float_range(f"transformed field of {v!r}", fields.get, v)
     fields.update({v: up[deg[v]] / mu_prime for v in part_r})
-    scale = (_power(gamma, len(graph.edges), "gamma**|E|")
-             / _power(mu_prime, len(part_r), "mu'**|R|"))
+    scale = (in_float_range("gamma**|E|", pow, gamma, len(graph.edges))
+             / in_float_range("mu'**|R|", pow, mu_prime, len(part_r)))
 
     anti = Instance(graph.with_fields({v: mu_prime for v, _ in graph.vertices}),
                     SpinParams(q, q, mu_prime))
@@ -343,8 +339,12 @@ def contract_degree_one(graph: FieldedGraph, p: SpinParams
 
 
 def contract_certificate(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
-    """Certificate wrapper for `contract_degree_one` (Z_in = scale * Z_out)."""
-    core, scale = contract_degree_one(graph, p)
+    """Certificate wrapper for `contract_degree_one` (Z_in = scale * Z_out);
+    a float peel that divides by zero, or leaves a field beyond the float
+    range, is a NumericError."""
+    core, scale = in_float_range("the pendant peel", contract_degree_one, graph, p)
+    for v, _ in core.vertices:  # the peel's float products are checked here, once
+        in_float_range(f"the field of {v!r} after the peel", core.field_map.get, v)
     return ReductionCertificate(kind="contract", input=Instance(graph, p),
                                 output=Instance(core, p), scale=scale,
                                 relation=INPUT_FROM_OUTPUT)
@@ -369,37 +369,32 @@ def to_ising(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     if not beta > 0:
         raise DomainError("requires beta > 0")
 
-    # the one square root: sqrt(gamma/beta) = a/beta and sqrt(beta/gamma) = a/gamma
-    a = _sqrt(beta * gamma)
-    down = beta / gamma
-    scale = _half_power(gamma / beta, len(graph.edges), "sqrt(gamma/beta)**|E|", a / beta)
-
+    a = _root(beta, gamma)  # sqrt(gamma/beta) = a/beta and sqrt(beta/gamma) = a/gamma
     if graph.n == 1 and not graph.edges:
         # edgeless singleton: Z = field + 1 on both sides, scale is 1
         ising = Instance(graph, SpinParams(a, a, 1))
-        return ReductionCertificate(kind="ising", input=Instance(graph, p),
-                                    output=ising, scale=scale,
-                                    relation=INPUT_FROM_OUTPUT)
+    else:
+        deg = graph.degrees()
+        for v, _ in graph.vertices:
+            if deg[v] < 2:
+                raise DomainError(
+                    f"vertex {v!r} has degree {deg[v]} < 2; contract pendants and strip "
+                    "isolated vertices first")
 
-    deg = graph.degrees()
-    for v, _ in graph.vertices:
-        if deg[v] < 2:
-            raise DomainError(
-                f"vertex {v!r} has degree {deg[v]} < 2; contract pendants and strip "
-                "isolated vertices first")
-
-    root_down = a / gamma
-    shrink = {d: _half_power(down, d, f"(beta/gamma)**({d}/2)", root_down)
-              for d in set(deg.values())}
-    new_fields = {}
-    for (v, _), f in zip(graph.vertices, fields):
-        nf = f * shrink[deg[v]]
-        if not nf <= slack:
-            raise DomainError(f"transformed field of {v!r} is {nf} > 1")
-        if nf == 0:
-            raise NumericError(f"transformed field of {v!r} underflows a float")
-        new_fields[v] = nf
-    ising = Instance(graph.with_fields(new_fields), SpinParams(a, a, 1))
+        down, root_down = beta / gamma, a / gamma
+        shrink = {d: _half_power(down, d, f"(beta/gamma)**({d}/2)", root_down)
+                  for d in set(deg.values())}
+        new_fields = {}
+        for (v, _), f in zip(graph.vertices, fields):
+            nf = f * shrink[deg[v]]
+            if not nf <= slack:
+                raise DomainError(f"transformed field of {v!r} is {nf} > 1")
+            if nf == 0:
+                raise NumericError(f"transformed field of {v!r} underflows a float")
+            new_fields[v] = nf
+        ising = Instance(graph.with_fields(new_fields), SpinParams(a, a, 1))
+    # after the fields, so that a field's underflow is named before the scale
+    scale = _half_power(gamma / beta, len(graph.edges), "sqrt(gamma/beta)**|E|", a / beta)
     return ReductionCertificate(kind="ising", input=Instance(graph, p),
                                 output=ising, scale=scale, relation=INPUT_FROM_OUTPUT)
 
@@ -410,7 +405,7 @@ def ising_pipeline(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     Composes the three exact scale factors into one certificate relating the
     original instance to the final uniform Ising instance.
     """
-    core, scale = contract_degree_one(graph, p)
+    core, scale = in_float_range("the pendant peel", contract_degree_one, graph, p)
 
     deg = core.degrees()
     isolated = [v for v, _ in core.vertices if deg[v] == 0]
@@ -428,8 +423,7 @@ def ising_pipeline(graph: FieldedGraph, p: SpinParams) -> ReductionCertificate:
     else:
         # empty core: the Ising instance has no edges, so a is all there is to set
         beta, gamma, _ = lift(p.beta, p.gamma, p.mu)
-        bg = beta * gamma
-        a = _sqrt(bg) if bg else bg
+        a = _root(beta, gamma)
         final = Instance(core, SpinParams(a, a, 1))
     return ReductionCertificate(kind="pipeline", input=Instance(graph, p),
                                 output=final, scale=scale, relation=INPUT_FROM_OUTPUT)

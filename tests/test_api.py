@@ -87,3 +87,46 @@ def test_independent_references_import_nothing_from_twospin():
         assert modules, f"{path.name} has no imports: is it the right file?"
         found = [m for m in modules if m.split(".")[0] == "twospin"]
         assert found == [], f"{path.name} imports {found}"
+
+
+# Where the package may test a float's range by hand: the one float-range rule
+# (`errors.in_float_range`), input parsing, exact-to-float output and the JSON
+# writer.  Every other float computation that can leave the range calls the
+# rule, so a new entry here is a second copy of the rule.
+RANGE_CHECKS = sorted([
+    ("errors.py", "in_float_range", "OverflowError"),
+    ("errors.py", "in_float_range", "isfinite"),
+    ("cli.py", "finite_float", "isfinite"),
+    ("core.py", "graph_from_json.as_nums", "OverflowError"),
+    ("core.py", "graph_from_json.as_nums", "isfinite"),
+    ("serialize.py", "_float", "isfinite"),
+])
+
+
+def _range_checks(tree: ast.AST) -> list:
+    """(enclosing function, name) of each ``except`` clause that names
+    OverflowError and each reference to an ``isinf`` or ``isfinite``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found.extend((".".join(scope), t.id) for t in types
+                         if isinstance(t, ast.Name) and t.id == "OverflowError")
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name in ("isinf", "isfinite"):
+            found.append((".".join(scope), name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_float_range_checks_are_the_rule_or_listed():
+    found = sorted((module, *check) for module, tree in MODULES.items()
+                   for check in _range_checks(tree))
+    assert found == RANGE_CHECKS

@@ -207,6 +207,11 @@ def test_float_flags_refuse_non_finite_values(capsys, argv, value):
      "the uniqueness threshold mu_c"),
     ("fixpoint --beta 1 --gamma 2 --mu 20 --d 100000", "gamma**d"),
     ("construct --beta 1 --gamma 2 --mu 20 --d 2000 --ell 1 --target 5", "gamma**d"),
+    # (gamma - 1)/(beta - 1) = 1e308/2.2e-16
+    ("thresholds --beta 1.0000000000000002 --gamma 1e308", "mu_bound_uniform_large_beta"),
+    # gamma**d * (beta*gamma - 1)/beta = 1e300 * 1e290 / 1e-10
+    ("construct --beta 1e-10 --gamma 1e300 --mu 1e300 --d 1 --ell 1 --target 5",
+     "the construction's field bound"),
 ])
 def test_threshold_overflow_is_a_numeric_error(capsys, argv, quantity):
     code = main(argv.split())
@@ -852,6 +857,9 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
      "--w-max", "100"],
     ["sweep", "--kind", "tree", "--beta", "0.5", "--gamma", "1e300", "--mu", "1e300",
      "--d", "1", "--t-max", "0"],
+    # b(1 - beta) = 1 + beta up to float drift, which left the discriminant below 0
+    ["sweep", "--kind", "uniqueness", "--beta-min", "0.3333333333333333",
+     "--beta-max", "0.3333333333333333", "--steps", "1", "--delta-reg", "3"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "ising-beta-0",
@@ -860,7 +868,8 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
         "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
         "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
-        "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound"])
+        "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound",
+        "sweep-uniqueness-sliver"])
 def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -999,6 +1008,16 @@ def _multi_edge_doc(beta, gamma, k, field=1):
             "edges": [["a", "b"]] * k, "output": None}
 
 
+# beta = gamma = 1e200: a = sqrt(beta*gamma) = sqrt(1e400), the Ising output's beta
+HUGE_ONE = {"beta": 1e200, "gamma": 1e200, "vertices": [{"id": "a", "field": 1}],
+            "edges": [], "output": None}
+HUGE_TRIANGLE = dict(HUGE_ONE, vertices=[{"id": v, "field": 1} for v in "abc"],
+                     edges=[["a", "b"], ["b", "c"], ["c", "a"]])
+# beta = gamma = 0: peeling a makes b's field 1e-300 / 1e300, 0.0 in floats,
+# and b's own edge ratio is then 1 / (0 + gamma)
+ZERO_PATH = {"beta": 0, "gamma": 0,
+             "vertices": [{"id": v, "field": f} for v, f in zip("abcd", (1e300, 1e-300, 1, 1))],
+             "edges": [["a", "b"], ["b", "c"], ["c", "d"]], "output": None}
 CYCLE_24 = {"beta": 1, "gamma": 1e30,
             "vertices": [{"id": f"c{i}", "field": 2} for i in range(24)],
             "edges": [[f"c{i}", f"c{(i + 1) % 24}"] for i in range(24)], "output": None}
@@ -1023,9 +1042,20 @@ STAR_2 = {"beta": 1, "gamma": 2,
     # mu' * (gamma/beta)**(4/2) = 1e320: two finite factors, an infinite product
     (_multi_edge_doc(1, 1e10, 4), "bipartite --mu-prime 1e300 --beta 1 --gamma 1e10 --no-verify",
      "transformed field of 'a' overflows a float"),
+    # b's field becomes 1 * edge_ratio(1e200) = 1e400 / (1e200 + 1); the scale is finite
+    ({"beta": 1e200, "gamma": 1, "vertices": [{"id": "a", "field": 1e200},
+                                              {"id": "b", "field": 1}],
+      "edges": [["a", "b"]], "output": None}, "contract --no-verify", "the field of 'b' after the peel overflows a float"),
+    (HUGE_ONE, "pipeline --mu 1", "sqrt(beta*gamma) overflows a float"),
+    (HUGE_ONE, "ising --mu 1", "sqrt(beta*gamma) overflows a float"),
+    (HUGE_TRIANGLE, "ising --no-verify --mu 1", "sqrt(beta*gamma) overflows a float"),
+    (ZERO_PATH, "contract --no-verify", "the pendant peel overflows a float"),
+    (ZERO_PATH, "pipeline --no-verify", "the pendant peel overflows a float"),
 ], ids=["bipartite-gamma-power", "bipartite-mu-prime-power", "bipartite-degree-power",
         "ising-scale", "pipeline-scale", "ising-field-underflow", "pipeline-field-underflow",
-        "bipartite-field-overflow"])
+        "bipartite-field-overflow", "contract-field-overflow", "pipeline-a-overflow",
+        "ising-a-overflow", "ising-a-overflow-no-verify", "contract-peel-zero-division",
+        "pipeline-peel-zero-division"])
 def test_reduction_float_range_is_a_numeric_error(tmp_path, capsys, doc, flags, message):
     path = write_doc(tmp_path, doc)
     code = main(["reduce", "--kind", *flags.split(), "--input", path])

@@ -11,7 +11,7 @@ from twospin import (CapacityError, DecayConstants, DomainError, InvariantViolat
                      solve_mu_star)
 from twospin.construct import (_branch_star_w, _cutoff_delta, _cutoff_star_w,
                                _power_bracket, _residual_window)
-from twospin.gadgets import DEPTH_LIMIT
+from twospin.gadgets import DEPTH_LIMIT, MATERIALIZE_LIMIT
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 C = decay_constants(RP)
@@ -188,6 +188,14 @@ def test_depth_beyond_the_limit_is_refused_before_building(monkeypatch):
     with pytest.raises(CapacityError, match=f"limit {DEPTH_LIMIT}$"):
         certify(DEPTH_LIMIT + 1, 10.0, RP, C)
     assert built == []
+
+
+def test_a_level_beyond_the_singleton_limit_is_refused():
+    # beta = 1, mu = 1e10: edge_ratio(mu) = 1 - 1e-10, so a level reaches the
+    # target 0.5 with about 2.4e11 singleton children, more than a list holds
+    rp = RecursionParams(SpinParams(1.0, 2.0, 1e10), 1)
+    with pytest.raises(CapacityError, match=f"singleton children, limit {MATERIALIZE_LIMIT}$"):
+        certify(2, 0.5, rp)
 
 
 def test_residual_escape_raises_invariant_violation(monkeypatch):

@@ -1,23 +1,33 @@
-"""Fuzz of float-mode ``eval``: every input ends in a documented exit code.
+"""Fuzz of the float CLI: every input ends in a documented exit code.
 
-Graph files of at most 11 vertices, with beta, gamma and every field drawn
-from {0, 1e-300, ..., 1e300}, go to ``eval`` in float mode, run in-process
-through ``twospin.cli.main``.  Half of the graphs are complete on 9 to 11
-vertices, plus a few parallel edges and self-loops, so that their first
-bucket's halves have 256 entries or more and take the vector log-sum-exp.
-Each call must exit 0, 2 (domain, or a value beyond the float range) or 3
-(capacity) with no traceback.  Where rational mode also exits 0 on the same
+``eval``: graph files of at most 11 vertices, with beta, gamma and every
+field drawn from {0, 1e-300, ..., 1e300}, run in float mode.  Half of the
+graphs are complete on 9 to 11 vertices, plus a few parallel edges and
+self-loops, so that their first bucket's halves have 256 entries or more and
+take the vector log-sum-exp.  Where rational mode also exits 0 on the same
 file, the float Z and effective field agree with it to rel 1e-9; both are
 written with 12 significant digits.
+
+``fixpoint``, ``construct``, ``thresholds``, every ``sweep`` kind, and float
+``reduce --kind bipartite|contract|ising|pipeline`` with and without
+``--no-verify``, take their numbers from the same values.  ``selfloop`` is
+left out: its achieved field can still overflow as an OverflowError.
+
+Every call runs in-process through ``twospin.cli.main``.  It exits 0, 2
+(domain, or a value beyond the float range), 3 (capacity) or 4
+(verification), with no traceback; an exit of 2 or 3 prints one stderr line
+and nothing on stdout.  What it prints holds no inf or nan, except the
+certificate's top-level ``scale``, whose float form can still be inf.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twospin.cli import main
@@ -83,3 +93,139 @@ def test_fuzzed_float_eval_exits_with_a_documented_code(tmp_path, text):
             # a value below the normal float range keeps fewer than 53 bits
             assert got[key] == pytest.approx(want[key], rel=1e-9, abs=sys.float_info.min), \
                 (text, key)
+
+
+def _check_run(argv) -> tuple:
+    """(exit code, stdout) of one call, after the checks every call must pass."""
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code in (2, 3):
+        assert out == "" and len(err.splitlines()) == 1, (argv, out, err)
+    else:
+        assert len(err.splitlines()) <= 1, (argv, err)
+    return code, out
+
+
+def _non_finite(doc, path=()) -> list:
+    """Paths of the inf and nan floats in a parsed JSON document."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _non_finite(value, (*path, key))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in _non_finite(value, (*path, i))]
+    return [path] if isinstance(doc, float) and not math.isfinite(doc) else []
+
+
+def _assert_finite_output(argv, out) -> None:
+    if argv[0] == "sweep":
+        cells = [cell for line in out.splitlines()[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells), (argv, out)
+    else:
+        assert [p for p in _non_finite(json.loads(out)) if p != ("scale",)] == [], (argv, out)
+
+
+def _value(lo: str = "0", hi: str = "1e300"):
+    return st.sampled_from(VALUES[VALUES.index(lo):VALUES.index(hi) + 1])
+
+
+@st.composite
+def command_argvs(draw) -> list:
+    """argv of fixpoint, construct, thresholds or a sweep, every float from
+    VALUES; the recursion's commands, which need beta <= 1 < gamma and a large
+    mu, mostly get such values."""
+    command = draw(st.sampled_from(["fixpoint", "construct", "thresholds", "star", "tree",
+                                    "construct-error", "uniqueness"]))
+    if command in ("thresholds", "star") or draw(st.integers(0, 3)) == 0:
+        bg, mu = ["--beta", draw(_value()), "--gamma", draw(_value())], draw(_value())
+    else:
+        bg, mu = ["--beta", draw(_value("0", "1")), "--gamma", draw(_value("1"))], draw(_value("1"))
+    bgmd = [*bg, "--mu", mu, "--d", str(draw(st.integers(1, 3)))]
+    if command == "fixpoint":
+        return ["fixpoint", *bgmd]
+    if command == "construct":
+        return ["construct", *bgmd, "--ell", str(draw(st.integers(0, 4))),
+                "--target", draw(_value())]
+    if command == "thresholds":
+        d = draw(st.sampled_from([[], ["--d", "1"], ["--d", "3"], ["--d", "40"]]))
+        return ["thresholds", *bg, *d]
+    if command == "uniqueness":
+        return ["sweep", "--kind", "uniqueness", "--beta-min", draw(_value()),
+                "--beta-max", draw(_value()), "--steps", str(draw(st.integers(1, 3))),
+                "--delta-reg", str(draw(st.integers(3, 6)))]
+    rows = {"star": ["--w-max", draw(st.sampled_from(["0", "5", "100", "1000"]))],
+            "tree": ["--t-max", str(draw(st.integers(0, 30)))],
+            "construct-error": ["--ell-max", str(draw(st.integers(0, 2))),
+                                "--targets", str(draw(st.integers(1, 2)))]}[command]
+    return ["sweep", "--kind", command, *bgmd, *rows]
+
+
+@FUZZ
+@given(argv=command_argvs())
+# the uniqueness sliver: float drift at b(1 - beta) = 1 + beta left the
+# tangency root's discriminant negative, a math domain error
+@example(argv=["sweep", "--kind", "uniqueness", "--beta-min", "0.3333333333333333",
+               "--beta-max", "0.3333333333333333", "--steps", "1", "--delta-reg", "3"])
+# a level of about 2.4e11 singleton children, which the list of them cannot hold
+@example(argv=["construct", "--beta", "1", "--gamma", "2", "--mu", "1e10", "--d", "1",
+               "--ell", "2", "--target", "0.5"])
+def test_fuzzed_float_commands_exit_with_a_documented_code(argv):
+    code, out = _check_run(argv)
+    if code in (0, 4):
+        _assert_finite_output(argv, out)
+
+
+@st.composite
+def reduce_cases(draw) -> tuple:
+    """(graph JSON text, reduce flags): a tree, a cycle with chords or any
+    multigraph on 1 to 8 vertices, numbers from VALUES."""
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    shape = draw(st.sampled_from(["tree", "cycle", "any"]))
+    if shape == "tree":
+        edges = [(v, ids[draw(st.integers(0, i - 1))]) for i, v in enumerate(ids) if i]
+    else:
+        edges = list(zip(ids, ids[1:] + ids[:1])) if shape == "cycle" and len(ids) > 2 else []
+        edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                               max_size=len(ids)))
+    vertices = ", ".join(f'{{"id": "{v}", "field": {draw(_value())}}}' for v in ids)
+    pairs = ", ".join(f'["{u}", "{v}"]' for u, v in edges)
+    text = (f'{{"beta": {draw(_value())}, "gamma": {draw(_value())}, '
+            f'"vertices": [{vertices}], "edges": [{pairs}], "output": null}}')
+    kind = draw(st.sampled_from(["bipartite", "contract", "ising", "pipeline"]))
+    flags = ["--kind", kind]
+    if kind == "bipartite":
+        flags += ["--mu-prime", draw(_value())]
+    elif draw(st.booleans()):
+        flags += ["--mu", draw(_value())]
+    if draw(st.booleans()):
+        flags.append("--no-verify")
+    return text, flags
+
+
+def _graph_text(beta, gamma, fields, edges) -> str:
+    vertices = ", ".join(f'{{"id": "{v}", "field": {f}}}' for v, f in fields)
+    return (f'{{"beta": {beta}, "gamma": {gamma}, "vertices": [{vertices}], '
+            f'"edges": {json.dumps(edges)}, "output": null}}')
+
+
+# sqrt(beta*gamma) = sqrt(1e400), the Ising output's a, is inf
+_HUGE_ONE = _graph_text("1e200", "1e200", [("a", 1)], [])
+_HUGE_TRIANGLE = _graph_text("1e200", "1e200", [(v, 1) for v in "abc"],
+                             [["a", "b"], ["b", "c"], ["c", "a"]])
+
+
+@FUZZ
+@given(case=reduce_cases())
+# b's field, edge_ratio(1e200) = (1e400 + 1)/(1e200 + 1), overflows; the scale is finite
+@example(case=(_graph_text("1e200", "1", [("a", "1e200"), ("b", 1)], [["a", "b"]]),
+               ["--kind", "contract", "--no-verify"]))
+@example(case=(_HUGE_ONE, ["--kind", "pipeline", "--mu", "1"]))
+@example(case=(_HUGE_ONE, ["--kind", "ising", "--mu", "1"]))
+@example(case=(_HUGE_TRIANGLE, ["--kind", "ising", "--no-verify", "--mu", "1"]))
+def test_fuzzed_float_reduce_exits_with_a_documented_code(tmp_path, case):
+    text, flags = case
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    argv = ["reduce", *flags, "--input", str(path)]
+    code, out = _check_run(argv)
+    if code in (0, 4):
+        _assert_finite_output(argv, out)
