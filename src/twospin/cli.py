@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -361,13 +362,26 @@ _EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the command and then set back
+    to its earlier state: a graph-sized command would otherwise spend about a
+    tenth of its time walking live containers that are never garbage.
+    Commands create no reference cycles, so reference counting still frees
+    everything a command drops.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT) as exc:
         label, code = next(v for cls, v in _EXIT.items() if isinstance(exc, cls))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

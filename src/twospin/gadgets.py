@@ -103,7 +103,10 @@ def _fold(tree: GadgetTree, star, dary, comb):
             return dary(node.d, node.t)
         raise DomainError(f"not a gadget tree node: {node!r}")
 
-    return fold(tree)
+    try:
+        return fold(tree)
+    finally:
+        del fold  # fold's cell refers to fold: a cycle only the collector would free
 
 
 def gadget_field(tree: GadgetTree, p: SpinParams):
@@ -178,6 +181,7 @@ def materialize(tree: GadgetTree, p: SpinParams,
         return root
 
     root = build(tree)
+    del build  # build's cell refers to build: a cycle holding the vertex and edge lists
     return FieldedGraph(tuple(vertices), tuple(edges), output=root)
 
 

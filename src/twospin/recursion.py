@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .core import SpinParams
 from .errors import DomainError, NumericError, in_float_range
+from .exact import is_exact
 
 
 class _RecursionParams(NamedTuple):
@@ -157,9 +158,14 @@ def mu_star_bracket(rp: RecursionParams) -> tuple:
 
 
 def _bracketed(mu_star, rp: RecursionParams):
-    """mu_star, after checking it lies inside `mu_star_bracket`."""
+    """mu_star, after checking it lies inside `mu_star_bracket`.
+
+    A float fixed point may round onto an end of the open bracket: at
+    (0.5, 1e10, 1e100, d = 1) it is 5e99 * (1 - 2e-90), which rounds to
+    beta * mu.  So a float may equal either end; an exact one may not.
+    """
     lo, hi = mu_star_bracket(rp)
-    if not (lo < mu_star < hi):
+    if not (lo < mu_star < hi or (not is_exact(mu_star) and lo <= mu_star <= hi)):
         raise NumericError(
             f"fixed point {mu_star} escaped the bracket ({lo}, {hi})")
     return mu_star

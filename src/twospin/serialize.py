@@ -11,8 +11,10 @@ on the rounded document, without building that copy or running the stdlib's
 pure-Python indenting encoder.  A list of same-shape records -- dicts with
 the first one's str keys, or arrays of the first one's length, each column
 scalars of one type, such as a graph's vertices and edges -- is written
-column by column through one %-template built from the sorted keys, with
-the same bytes.
+column by column, with the same bytes: one join interleaves each column's
+texts with the text that comes before every value of that column (the
+bracket or comma, the indent and, for a dict, the sorted key), and each
+row's closing bracket and comma.
 Each call keeps one memo of float texts for these columns, so a distinct
 nonzero float is formatted once (zeros each time: 0.0 == -0.0, but they
 print differently).
@@ -21,6 +23,7 @@ print differently).
 from __future__ import annotations
 
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import itemgetter
@@ -84,15 +87,16 @@ class _FloatText(dict):
         return text
 
 
-def _rows(o, nl: str, floats: _FloatText) -> list | None:
-    """JSON text of each element of the list ``o`` at indent ``nl``, or None.
+def _rows(o, nl: str, floats: _FloatText) -> str | None:
+    """JSON text of the elements of the list ``o`` at indent ``nl``, comma
+    separated, or None.
 
-    Written through one %-template when the elements are all dicts with the
-    first one's str keys, or all arrays of the first one's length, and each
-    column holds scalars of one type; any other list returns None.  The
-    first element's values, and the last dict's keys, are checked before
-    any column is built, so a list of nested elements, or a comb's children
-    whose last one has another shape, costs next to nothing here.
+    Written column by column when the elements are all dicts with the first
+    one's str keys, or all arrays of the first one's length, and each column
+    holds scalars of one type; any other list returns None.  The first
+    element's values, and the last dict's keys, are checked before any column
+    is built, so a list of nested elements, or a comb's children whose last
+    one has another shape, costs next to nothing here.
     """
     first, last = o[0], o[-1]
     kinds, values = ({dict}, first.values()) if type(first) is dict else (_ARRAYS, first)
@@ -104,7 +108,7 @@ def _rows(o, nl: str, floats: _FloatText) -> list | None:
     inner = nl + "  "
     if kinds is _ARRAYS:
         cols = list(zip(*o))
-        template = "[" + inner + ("," + inner).join(["%s"] * len(first)) + nl + "]"
+        heads, brackets = ["," + inner] * len(first), "[]"
     else:
         if set(map(type, first)) != {str}:
             return None
@@ -113,16 +117,18 @@ def _rows(o, nl: str, floats: _FloatText) -> list | None:
             cols = [list(map(itemgetter(k), o)) for k in keys]
         except KeyError:
             return None
-        heads = ["," + inner + _quote(k).replace("%", "%%") + ": " for k in keys]
-        template = "{" + "%s".join(heads)[1:] + "%s" + nl + "}"
+        heads, brackets = ["," + inner + _quote(k) + ": " for k in keys], "{}"
+    heads[0] = brackets[0] + heads[0][1:]  # the first column opens the row
     scalars = {**_SCALARS, float: floats.__getitem__}
-    texts = []
-    for col in cols:
+    parts = []  # per column: its head, repeated, and its texts
+    for head, col in zip(heads, cols):
         types = set(map(type, col))
         if len(types) != 1:  # one type, which the first row showed is a scalar
             return None
-        texts.append(list(map(scalars[types.pop()], col)))
-    return list(map(template.__mod__, zip(*texts)))
+        parts += repeat(head), map(scalars[types.pop()], col)
+    sep = "," + nl
+    parts.append(repeat(nl + brackets[1] + sep))
+    return "".join(chain.from_iterable(zip(*parts)))[:-len(sep)]
 
 
 def _write(o, out: list, nl: str, floats: _FloatText) -> None:
@@ -154,7 +160,7 @@ def _write(o, out: list, nl: str, floats: _FloatText) -> None:
         head, sep = "[" + inner, "," + inner
         rows = _rows(o, inner, floats) if type(o[0]) in _RECORDS else None
         if rows is not None:
-            out.append(head + sep.join(rows) + nl + "]")
+            out += head, rows, nl + "]"
             return
         prev = text = None  # the element before, and its text once it repeats
         for value in o:

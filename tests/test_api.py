@@ -130,3 +130,19 @@ def test_float_range_checks_are_the_rule_or_listed():
     found = sorted((module, *check) for module, tree in MODULES.items()
                    for check in _range_checks(tree))
     assert found == RANGE_CHECKS
+
+
+def test_only_the_cli_touches_the_collector():
+    # `cli.main` pauses the cyclic collector for one command and restores it;
+    # a second place that switches it would undo or extend that pause
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [name for module in modules if module == "gc"]
+    assert found == ["cli.py"]

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -1187,3 +1188,73 @@ def test_byte_identical_reruns(tmp_path):
     first = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     second = subprocess.run(argv, capture_output=True, check=True, env=env).stdout
     assert first == second and first
+
+
+def _collector_argvs(tmp_path) -> list:
+    """One argv per command, kind and artifact flag."""
+    k2 = write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json")
+    path = write_doc(tmp_path, PATH_DOC, name="path.json")
+    triangle = write_doc(tmp_path, dict(PATH_DOC, edges=[["u", "v"], ["v", "w"], ["w", "u"]]),
+                         name="triangle.json")
+    point = "--beta 1 --gamma 2 --mu 20 --d 1"
+    lines = [f"eval --input {k2}", f"eval --input {k2} --mode rational",
+             f"fixpoint {point}", "thresholds --beta 1 --gamma 2",
+             f"construct {point} --ell 4 --target 7.5 --emit-gadget {tmp_path}/g.json "
+             f"--materialize {tmp_path}/m.json",
+             f"sweep --kind star {point} --w-max 6", f"sweep --kind tree {point} --t-max 6",
+             f"sweep --kind construct-error {point} --ell-max 3 --targets 4",
+             "sweep --kind uniqueness --steps 3",
+             f"reduce --kind bipartite --input {k2} --mu-prime 1.1 --left u",
+             "reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100"]
+    lines += [f"reduce --kind {kind} --input {graph} --mu 2"
+              for kind, graph in [("contract", path), ("ising", triangle), ("pipeline", path)]]
+    return [line.split() for line in lines]
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    """With the collector off, reference counting frees all a command drops."""
+    argvs = _collector_argvs(tmp_path)
+    for argv in argvs:  # first calls: numpy's import leaves one-time cyclic garbage
+        assert main(argv) == 0, argv
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, enabled):
+    import twospin.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod.red, "verify_reduction", lambda cert, **_: cert._replace(
+        verified=False))
+    monkeypatch.setattr(cli_mod, "hardness_thresholds", boom)
+    path = write_doc(tmp_path, PATH_DOC)
+    calls = [(0, ["fixpoint", *DEEP_POINT]),
+             (2, ["fixpoint", "--beta", "0.5", "--gamma", "1", "--mu", "2", "--d", "1"]),
+             (3, ["sweep", "--kind", "construct-error", *DEEP_POINT,
+                  "--ell-max", str(DEPTH_LIMIT + 1)]),
+             (4, ["reduce", "--kind", "pipeline", "--input", path, "--mu", "2"]),
+             (SystemExit, ["fixpoint"]),
+             (RuntimeError, ["thresholds", "--beta", "1", "--gamma", "2"])]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for outcome, argv in calls:
+            if isinstance(outcome, int):
+                assert main(argv) == outcome, argv
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if before else gc.disable)()

@@ -5,8 +5,10 @@ Frozen expected values were computed up front by independent oracles
 see the assertions for the analytic cross-checks.
 """
 
+import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from twospin import (DecayConstants, DomainError, NumericError, RecursionParams,
                      edge_ratio, hardness_thresholds,
                      invert_edge_ratio, level_map, min_arity, solve_mu_star,
                      uniqueness_threshold)
-from twospin.recursion import contraction_rate, fixed_point_iterates, least_integer
+from twospin.cli import main
+from twospin.recursion import (_bracketed, contraction_rate, fixed_point_iterates,
+                               least_integer, mu_star_bracket)
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
 MU_STAR_CLOSED = 9 + math.sqrt(101)  # root of x^2 - 18x - 20
@@ -76,6 +80,18 @@ def test_fixed_point_bracket_on_random_valid_params():
         mu_star = solve_mu_star(rp)
         assert mu / gamma ** d < mu_star < beta ** d * mu
         checked += 1
+
+
+def test_float_fixed_point_may_round_onto_the_bracket_end(capsys):
+    # mu_star = 5e99 * (1 - 2e-90) rounds to beta * mu, the bracket's upper end
+    code = main(["fixpoint", "--beta", "0.5", "--gamma", "1e10", "--mu", "1e100", "--d", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["mu_star"] == 5e99 == doc["bracket"]["upper"]
+    # an exact fixed point never rounds: either end stays outside
+    rp = RecursionParams(SpinParams(Fraction(1, 2), Fraction(10 ** 10), Fraction(10 ** 100)), 1)
+    for end in mu_star_bracket(rp):
+        with pytest.raises(NumericError, match="escaped the bracket"):
+            _bracketed(end, rp)
 
 
 def test_recursion_params_validation():

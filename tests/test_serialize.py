@@ -111,7 +111,7 @@ EDGE_CASES = {
                               "\x1f": ["ÿ", "\r"]},
     "int keys": {10: "ten", 9: "nine", 100: "hundred", -1: "minus one", "9a": 0},
     "numpy float64": [np.float64(0.1) * 3, np.float64("inf"), np.float64("nan")],
-    # lists of records: the row-template path, and shapes that must leave it
+    # lists of records: the column-by-column path, and shapes that must leave it
     "records with zeros and non-finite": [
         {"id": "a", "field": 0.0}, {"id": "b", "field": -0.0}, {"id": "c", "field": 0.0},
         {"id": "d", "field": math.nan}, {"id": "e", "field": math.inf},
@@ -134,6 +134,15 @@ EDGE_CASES = {
                                    {"v": 0, "w": None}],
     "non-str keys in records": [{1: "a", 2: "b"}, {1: "c", 2: "d"}],
     "one record": [{"b": 1.0, "a": "x"}],
+    "one array": [[1.5, "x", None]],
+    "one column": [{"a": 1.5}, {"a": -0.0}, {"a": 2 / 3}],
+    "arrays of length 1": [[1.5], [-0.0], [2 / 3]],
+    "2,000 records": [{"id": f"v{i}", "field": i / 7, "deg": i % 5} for i in range(2000)],
+    "2,000 arrays": [(f"v{i}", f"v{i + 1}") for i in range(2000)],
+    "quote, backslash, non-ascii and percent in keys": [
+        {'q"': 1, "b\\s": 2.5, "été∑\U0001f600": "x", "%s%%": None, "%(a)d": True}] * 2
+    + [{'q"': 2, "b\\s": -0.0, "été∑\U0001f600": "y", "%s%%": None, "%(a)d": False}],
+    "bool and int in one array column": [[1, True], [True, 1], [0, False]],
 }
 
 
