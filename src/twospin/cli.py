@@ -23,7 +23,7 @@ from . import reductions as red
 from .construct import _check_depth, certify as certify_construct
 from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_json,
                    graph_to_json, partition_and_field, partition_function)
-from .errors import CapacityError, DomainError, NumericError, in_float_range
+from .errors import CapacityError, DomainError, InvariantViolation, NumericError, in_float_range
 from .gadgets import (MATERIALIZE_LIMIT, gadget_to_json, materialize, star_convergence,
                       tree_convergence)
 from .recursion import (RecursionParams, decay_constants, hardness_thresholds,
@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
 def cmd_fixpoint(args) -> int:
     rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
     mu_star = solve_mu_star(rp, rel_tol=args.tol)  # raises when outside the bracket
-    consts = decay_constants(rp)
+    consts = decay_constants(rp, rel_tol=args.tol)
     lower, upper = mu_star_bracket(rp)
     _emit(args, {**consts._asdict(), "mu_star": mu_star,
                  "bracket": {"lower": lower, "upper": upper, "ok": True}})
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # library errors -> (stderr label, exit code); the first matching class wins
 _EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
-         CapacityError: ("capacity error", 3)}
+         InvariantViolation: ("invariant violation", 2), CapacityError: ("capacity error", 3)}
 
 
 def main(argv=None) -> int:

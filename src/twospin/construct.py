@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import CapacityError, DomainError, InvariantViolation, in_float_range
+from .errors import CapacityError, DomainError, InvariantViolation, NumericError, in_float_range
 from .gadgets import (DEPTH_LIMIT, MATERIALIZE_LIMIT, Comb, DaryTree, GadgetTree, Star,
                       gadget_field, tree_size)
 from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
@@ -78,7 +78,12 @@ class ConstructReport(NamedTuple):
 
 
 def _power_bracket(base: float, ratio: float, target: float) -> int:
-    """Largest integer k with target <= base * ratio**k, for 0 < ratio < 1."""
+    """Largest integer k with target <= base * ratio**k, for 0 < ratio < 1; a ratio
+    that rounds to 1 (no k exists) or a target / base that underflows is a NumericError."""
+    if not ratio < 1:
+        raise NumericError("the star's decay rate edge_ratio(mu) rounds to 1.0")
+    if not target / base > 0:
+        raise NumericError(f"target {target} / {base} underflows a float")
     return least_integer(lambda k: base * ratio ** k < target,
                          math.log(target / base) / math.log(ratio), -math.inf) - 1
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules, and the one float-range rule.
 
-The CLI maps these onto exit codes (domain -> 2, numeric -> 2, capacity -> 3),
-so library code should raise the most specific class that applies instead of
-bare ValueError/RuntimeError.
+The CLI maps these onto exit codes (domain, numeric and invariant -> 2,
+capacity -> 3), so library code should raise the most specific class that
+applies instead of bare ValueError/RuntimeError.
 
 The float-range rule: a float result beyond the float range is a NumericError
 naming the quantity.  In IEEE 754 a float ``*`` or ``/`` overflows to inf

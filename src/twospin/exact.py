@@ -3,14 +3,14 @@
 The reduction identities relate partition functions whose edge weights and
 vertex fields carry half-integer powers of rationals: sqrt(beta*gamma),
 sqrt(gamma/beta) and their integer powers.  Checking those identities
-*exactly* therefore needs arithmetic in Q(sqrt(m)) for a squarefree integer
-m, not just in Q.  `Quad` is a minimal number type for that; plain rationals
-stay `fractions.Fraction`.
+*exactly* therefore needs arithmetic in Q(sqrt(m)) for an integer m >= 2
+that is not a square, not just in Q.  `Quad` is a minimal number type for
+that; plain rationals stay `fractions.Fraction`.
 
-Radicands are normalised to a squarefree integer, so values built from
-sqrt(beta*gamma), sqrt(gamma/beta) and sqrt(beta/gamma) for the same
-(beta, gamma) always live in the same extension and combine freely
-(the three radicands differ by rational squares).
+A certificate takes one square root, sqrt(beta*gamma), and derives every
+other half power from it, so its values share one radicand.  That radicand
+need not be squarefree: a + b*sqrt(m) == c + d*sqrt(m) exactly when a == c
+and b == d as soon as m is not a square.
 """
 
 from __future__ import annotations
@@ -18,45 +18,32 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CapacityError
-
 _RationalLike = (int, Fraction)
-_TRIAL_LIMIT = 10 ** 6  # the largest trial divisor of a radicand
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s*s*m and m squarefree; n must be positive.
+    """Return (s, m) with n = s*s*m, where m is 1 or not a square; n must be positive.
 
-    Trial division stops at _TRIAL_LIMIT.  The cofactor left then has no
-    prime factor up to the limit: a square joins s, and one below
-    _TRIAL_LIMIT**3 has at most two prime factors, so, not a square, it is
-    squarefree.  Any other cofactor raises CapacityError.
+    Trial division by the primes below 1000 moves their squares into s and
+    leaves each odd power's last factor in m.  The cofactor then left goes to
+    s as its root when it is a square, and to m otherwise; it has no prime
+    factor in common with m, so m is then not a square.
     """
     if n <= 0:
         raise ValueError("radicand must be positive")
-    radicand = n
     s, m = 1, 1
     d = 2
-    while d * d <= n and d <= _TRIAL_LIMIT:
+    while d * d <= n and d < 1000:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
+            n //= d
+            m *= d
         d += 1 if d == 2 else 2
-    if d * d <= n:  # the trial division stopped early
-        root = math.isqrt(n)
-        if root * root == n:
-            return s * root, m
-        if n >= _TRIAL_LIMIT ** 3:
-            bits = radicand.bit_length()  # a long radicand is named by its length
-            name = radicand if bits <= 1000 else f"of {bits} bits"
-            raise CapacityError(f"cannot split the radicand {name} into a square and a "
-                                f"squarefree part: its cofactor {n.bit_length()} bits "
-                                f"long has no prime factor up to {_TRIAL_LIMIT}")
+    root = math.isqrt(n)
+    if root * root == n:
+        return s * root, m
     return s, m * n
 
 
@@ -79,18 +66,12 @@ def sqrt_fraction(x) -> "Fraction | Quad":
     return Quad(0, coeff, m)
 
 
-def half_power(x, k: int, root=None):
-    """Exact x**(k/2) for a positive rational x and any integer k.
-
-    ``root``, when given, is sqrt(x): an odd k then takes no square root of
-    its own, whose radicand split is the costly part.
-    """
+def half_power(x, k: int, root):
+    """Exact x**(k/2) for a positive rational x and any integer k, where
+    ``root`` is sqrt(x): an odd k multiplies by it and takes no square root."""
     x = _rational(x)
     q, r = divmod(k, 2)
-    whole = x ** q
-    if not r:
-        return whole
-    return whole * (sqrt_fraction(x) if root is None else root)
+    return x ** q * root if r else x ** q
 
 
 def is_exact(*values) -> bool:
@@ -100,11 +81,13 @@ def is_exact(*values) -> bool:
 
 
 class Quad:
-    """a + b*sqrt(m) with Fraction coefficients and squarefree integer m >= 2.
+    """a + b*sqrt(m) with Fraction coefficients and an integer m >= 2 that is
+    not a square.
 
-    Values with b == 0 degrade to m == 1 and compare equal to rationals.
-    Mixing two irrational Quads requires equal radicands; that never happens
-    when all values derive from one (beta, gamma) pair.
+    Values with b == 0 degrade to m == 1 and compare equal to rationals.  One
+    evaluation takes one radicand: two irrational Quads with different
+    radicands do not combine (ValueError) and compare unequal, even where
+    they denote the same real, as 1009*sqrt(2026) and sqrt(2062632106) do.
     """
 
     __slots__ = ("a", "b", "m")
@@ -116,7 +99,7 @@ class Quad:
         elif m == 1:
             a, b = a + b, Fraction(0)
         elif m < 2:
-            raise ValueError("radicand must be a squarefree integer >= 2")
+            raise ValueError("radicand must be an integer >= 2 and not a square")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", m)
@@ -134,6 +117,8 @@ class Quad:
         return None
 
     def _join_radicand(self, other: "Quad") -> int:
+        """The radicand of a result: a rational operand takes the other's, and
+        two irrational operands must share theirs (one evaluation, one root)."""
         if self.b == 0:
             return other.m
         if other.b == 0:
@@ -238,14 +223,7 @@ class Quad:
             if isinstance(other, float):
                 return float(self) == other
             return NotImplemented
-        if self.b == 0 and o.b == 0:
-            return self.a == o.a
-        try:
-            m = self._join_radicand(o)
-        except ValueError:
-            return False
-        del m
-        return self.a == o.a and self.b == o.b
+        return (self.a, self.b, self.m) == (o.a, o.b, o.m)  # b == 0 implies m == 1
 
     def __hash__(self):
         if self.b == 0:
@@ -276,7 +254,17 @@ class Quad:
     # -- conversions ---------------------------------------------------
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.m)
+        """float(a) plus b*sqrt(m) rounded once: sign(b)*sqrt(b*b*m) from an
+        integer root of 64 bits or more, its last bit set when inexact (round
+        to odd).  Only the value, not a huge m or a tiny b, can overflow."""
+        if not self.b:
+            return float(self.a)
+        num, den = self.b.numerator ** 2 * self.m, self.b.denominator ** 2
+        t = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+        q, rem = divmod(num << 2 * t, den)
+        r = math.isqrt(q)
+        root = (2 * r + bool(rem or r * r != q)) / (2 << t)
+        return float(self.a) + (root if self.b > 0 else -root)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0

@@ -171,7 +171,7 @@ def _bracketed(mu_star, rp: RecursionParams):
     return mu_star
 
 
-def decay_constants(rp: RecursionParams) -> DecayConstants:
+def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstants:
     """Concrete (alpha, c, eta, iota, t0) with a certified contraction window.
 
     c is placed halfway between the contraction at the fixed point and 1; eta
@@ -182,10 +182,10 @@ def decay_constants(rp: RecursionParams) -> DecayConstants:
     mu-started iterations until the window is entered; iota starts at
     max(ln mu, eta * c**-t0) and is inflated if any iterate up to t0 would
     violate ln(x_t/mu_star) <= c**t * iota, so the published bound holds for
-    every depth.
+    every depth.  rel_tol is the fixed-point iteration's, as in `solve_mu_star`.
     """
     p = rp.params
-    iterates = fixed_point_iterates(rp)
+    iterates = fixed_point_iterates(rp, rel_tol)
     mu_star = _bracketed(iterates[-1], rp)
     alpha = contraction_bound(p)
     g_star = contraction_rate(mu_star, rp)

@@ -132,6 +132,16 @@ def test_float_range_checks_are_the_rule_or_listed():
     assert found == RANGE_CHECKS
 
 
+def test_every_error_class_has_an_exit_code():
+    # a library error without a row in `cli._EXIT` ends the CLI in a traceback
+    from twospin import cli, errors
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert classes
+    assert sorted(cls.__name__ for cls in classes - set(cli._EXIT)) == []
+
+
 def test_only_the_cli_touches_the_collector():
     # `cli.main` pauses the cyclic collector for one command and restores it;
     # a second place that switches it would undo or extend that pause

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,9 @@ import pytest
 
 import twospin
 from gadget_helpers import gadget_from_json
-from twospin import (FieldedGraph, NumericError, SpinParams, core, effective_field,
-                     gadget_field, graph_from_json, is_exact, partition_function)
+from twospin import (FieldedGraph, NumericError, RecursionParams, SpinParams, core,
+                     decay_constants, effective_field, gadget_field, graph_from_json,
+                     is_exact, partition_function, solve_mu_star)
 from twospin.cli import main
 from twospin.gadgets import DEPTH_LIMIT
 from twospin.serialize import exact_str
@@ -173,6 +175,21 @@ def test_fixpoint(capsys):
     assert doc["mu_star"] == pytest.approx(19.0498756211, abs=1e-9)
     assert doc["bracket"] == {"lower": 10.0, "ok": True, "upper": 20.0}
     assert doc["alpha"] == pytest.approx(0.171572875254, abs=1e-11)
+
+
+def test_fixpoint_constants_follow_its_tol(capsys):
+    # mu_star and the decay constants come from one iteration run to --tol,
+    # so eta is mu_star halved j times
+    code, out = run(capsys, ["fixpoint", "--beta", "1", "--gamma", "2",
+                             "--mu", "20", "--d", "1", "--tol", "1e-3"])
+    assert code == 0
+    doc = json.loads(out)
+    ratio = doc["mu_star"] / doc["eta"]  # both printed to 12 digits
+    assert ratio == pytest.approx(2 ** round(math.log2(ratio)), rel=1e-11)
+    rp = RecursionParams(SpinParams(1, 2, 20), 1)
+    consts = decay_constants(rp, rel_tol=1e-3)
+    assert consts.mu_star == solve_mu_star(rp, rel_tol=1e-3)
+    assert math.frexp(consts.mu_star / consts.eta)[0] == 0.5
 
 
 def test_fixpoint_rejects_non_ferromagnetic(capsys):
@@ -861,6 +878,9 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
     # b(1 - beta) = 1 + beta up to float drift, which left the discriminant below 0
     ["sweep", "--kind", "uniqueness", "--beta-min", "0.3333333333333333",
      "--beta-max", "0.3333333333333333", "--steps", "1", "--delta-reg", "3"],
+    # the residual target leaves (0, mu_star] by 3.7e-5 relative: a failed invariant
+    ["construct", "--beta", "0.9", "--gamma", "1000.0", "--mu", "1220873586480681.8",
+     "--d", "2", "--ell", "2", "--target", "988907605047354.5"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "ising-beta-0",
@@ -870,7 +890,7 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
         "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
         "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound",
-        "sweep-uniqueness-sliver"])
+        "sweep-uniqueness-sliver", "construct-invariant-violation"])
 def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -890,7 +910,8 @@ def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
                "sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
                "sweep-star-w-max-100": "numeric error: the star sweep's field overflows",
                "sweep-tree-bound": "numeric error: the tree sweep's ratio_bound overflows "
-                                   "a float at t = 0"}
+                                   "a float at t = 0",
+               "construct-invariant-violation": "invariant violation: residual target "}
     assert proc.returncode == 2
     assert proc.stderr.startswith(numeric.get(request.node.callspec.id, "domain error: "))
     assert len(proc.stderr.splitlines()) == 1
@@ -978,14 +999,39 @@ def test_radicand_with_a_large_prime_factor_is_split_quickly(tmp_path, capsys):
     # at 12 significant digits the document is beta = 1's
     assert run(capsys, [*argv, "1"]) == (0, out)
 
-    # a cofactor of 60 bits with no prime factor up to 10**6 is refused
+    # a cofactor of 60 bits with no prime factor below 1000 stays in the radicand
     start = time.perf_counter()
-    code = main([*argv, "1.000000000000000003"])
+    code, out = run(capsys, [*argv, "1.000000000000000003"])
     assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("capacity error: cannot split the radicand ")
-    assert len(captured.err.splitlines()) == 1
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+def _odd_primes_below(n: int) -> list:
+    sieve = bytearray([1]) * n
+    for i in range(2, math.isqrt(n) + 1):
+        sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return [i for i in range(3, n) if sieve[i]]
+
+
+_LONG = random.Random(5).randrange(10 ** 3999, 10 ** 4000)
+
+
+@pytest.mark.parametrize("beta", [
+    # 4,000 digits over about 4/3 of them: a radicand of about 26,600 bits
+    f"{_LONG}/{_LONG + _LONG // 3 + 1}",
+    # beta near 0.707: the radicand 2*P, P the product of the odd primes below
+    # 3000, is past 2**1024, and its coefficient 2**-2115 below the float range
+    f"{math.prod(_odd_primes_below(3000))}/{2 ** 4230}",
+], ids=["4000-digits", "primorial"])
+def test_long_radicands_certify_quickly(tmp_path, capsys, beta):
+    path = write_doc(tmp_path, {**K2_DOC, "vertices": [{"id": "u", "field": 1},
+                                                       {"id": "v", "field": 1}]})
+    start = time.perf_counter()
+    code, out = run(capsys, ["reduce", "--kind", "bipartite", "--mode", "rational",
+                             "--input", path, "--gamma", "2", "--mu-prime", "2",
+                             "--beta", beta])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 def test_rational_field_beyond_float_range_is_a_numeric_error(tmp_path):

@@ -1,12 +1,13 @@
 """Quadratic-extension arithmetic used by the exact reduction certificates."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from twospin import CapacityError
 from twospin.exact import Quad, _squarefree_split, half_power, is_exact, sqrt_fraction
 
 
@@ -21,19 +22,75 @@ def test_sqrt_fraction_normalises_radicands():
 
 
 def test_radicands_with_prime_factors_past_the_trial_limit():
-    # trial division stops at 10**6; 1000003, 1000033 and 1000037 are the
-    # primes just above it, 999999999989 the largest below 10**12
+    # trial division stops at 1000; 1000003, 1000033 and 1000037 are the
+    # primes just above 10**6, 999999999989 the largest below 10**12
     p, q, r, big = 1000003, 1000033, 1000037, 999999999989
     start = time.perf_counter()
-    assert _squarefree_split(12 * p * q) == (2, 3 * p * q)  # a cofactor below 10**18
+    assert _squarefree_split(12 * p * q) == (2, 3 * p * q)
     assert _squarefree_split(12 * big) == (2, 3 * big)
     assert sqrt_fraction(Fraction(7 * big ** 2, 4)) == Quad(0, Fraction(big, 2), 7)
     assert _squarefree_split(5 * (p * q * r) ** 2) == (p * q * r, 5)  # a square cofactor
-    with pytest.raises(CapacityError, match="radicand 3000219004293010989 "):
-        _squarefree_split(3 * p * q * r)  # may be p**2 * q: not knowable cheaply
-    with pytest.raises(CapacityError, match="radicand of 2062 bits "):
-        _squarefree_split(2 ** 2000 * 3 * p * q * r)
+    # a cofactor that is not a square stays in the radicand, which then is no
+    # square either: it need not be squarefree
+    assert _squarefree_split(3 * p * q * r) == (1, 3 * p * q * r)
+    assert _squarefree_split(2 ** 2000 * 3 * p * q * r) == (2 ** 1000, 3 * p * q * r)
     assert time.perf_counter() - start < 2
+
+
+def test_radicands_that_differ_by_a_large_square_do_not_combine():
+    # 2 * 1009**2 * 1013 keeps the square of 1009, a prime past the trial
+    # division, so its root is sqrt(2062632106), not 1009*sqrt(2026); the two
+    # denote one real, but one evaluation takes one radicand
+    assert _squarefree_split(2 * 1009 ** 2 * 1013) == (1, 2062632106)
+    root, other = sqrt_fraction(2 * 1009 ** 2 * 1013), Quad(0, 1009, 2026)
+    assert root == Quad(0, 1, 2062632106)
+    with pytest.raises(ValueError):
+        root * other
+    assert (root == other) is False
+    assert float(root) == float(other)
+
+
+def _mp_value(a: Fraction, b: Fraction, m: int):
+    return (mpmath.mpf(a.numerator) / a.denominator
+            + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(m))
+
+
+@pytest.mark.parametrize("b, m", [
+    (Fraction(1, 2 ** 500), 2 ** 1100 + 1),  # m past the float range
+    (Fraction(-3, 2 ** 600), 5 * 2 ** 1200 + 7),
+    (Fraction(1, 2 ** 1100), 2 ** 1200 + 1),  # b below the float range
+    (Fraction(1, 2 ** 1100), 2 ** 100 + 1),  # a subnormal result
+    (Fraction(7, 2 ** 1200), 3),  # below the smallest subnormal: 0.0
+    (Fraction(10 ** 300), 2),  # near 1e300
+    (Fraction(10 ** 308), 3),  # near the largest float
+    (Fraction(1, 10 ** 300), 3),  # near 1e-300
+    (Fraction(-10 ** 299, 3), 7),
+    (Fraction(2, 5), 10),
+], ids=["huge-m", "huge-m-negative", "tiny-b", "subnormal", "zero", "1e300", "1e308",
+        "1e-300", "negative-1e299", "small"])
+def test_float_of_a_quad_is_the_correctly_rounded_root(b, m):
+    with mpmath.workdps(50):
+        assert float(Quad(0, b, m)) == float(_mp_value(Fraction(0), b, m))
+
+
+def test_float_of_a_quad_matches_mpmath():
+    rng = random.Random(7)
+    with mpmath.workdps(50):
+        for _ in range(300):
+            m = rng.randrange(2, 2 ** rng.randrange(2, 1400))
+            if math.isqrt(m) ** 2 == m:
+                continue
+            b = Fraction(rng.randrange(1, 2 ** 600), rng.randrange(1, 2 ** 1200))
+            a = Fraction(rng.randrange(2 ** 60), rng.randrange(1, 2 ** 60))  # no cancellation
+            want = _mp_value(a, b, m)
+            if abs(want) >= 2 ** 1024:
+                with pytest.raises(OverflowError):
+                    float(Quad(a, b, m))
+            else:
+                assert float(Quad(a, b, m)) == pytest.approx(float(want), rel=4.5e-16)
+    # past the largest float the conversion raises, as float() of a Fraction does
+    with pytest.raises(OverflowError):
+        float(Quad(0, 10 ** 308, 5))
 
 
 def test_same_extension_for_related_radicands():
@@ -94,10 +151,13 @@ def test_incompatible_radicands_rejected():
 
 
 def test_half_power():
-    assert half_power(Fraction(2), 4) == 4
-    assert half_power(Fraction(2), 3) == Quad(0, 2, 2)
-    assert half_power(Fraction(1, 2), -1) == sqrt_fraction(2)
-    assert float(half_power(Fraction(5, 2), 5)) == pytest.approx(2.5 ** 2.5, rel=1e-14)
+    for x in (Fraction(2), Fraction(1, 2), Fraction(5, 2)):
+        assert half_power(x, 2, None) == x  # an even power needs no root
+    assert half_power(Fraction(2), 4, sqrt_fraction(2)) == 4
+    assert half_power(Fraction(2), 3, sqrt_fraction(2)) == Quad(0, 2, 2)
+    assert half_power(Fraction(1, 2), -1, sqrt_fraction(Fraction(1, 2))) == sqrt_fraction(2)
+    assert float(half_power(Fraction(5, 2), 5, sqrt_fraction(Fraction(5, 2)))) \
+        == pytest.approx(2.5 ** 2.5, rel=1e-14)
 
 
 def test_is_exact():

@@ -30,6 +30,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from twospin import (DomainError, NumericError, RecursionParams, SpinParams,
+                     construction_field_bound, solve_mu_star)
 from twospin.cli import main
 
 FUZZ = settings(max_examples=120, deadline=None,
@@ -168,7 +170,49 @@ def command_argvs(draw) -> list:
 # a level of about 2.4e11 singleton children, which the list of them cannot hold
 @example(argv=["construct", "--beta", "1", "--gamma", "2", "--mu", "1e10", "--d", "1",
                "--ell", "2", "--target", "0.5"])
+# edge_ratio(mu) rounds to 1.0, where no star exponent exists
+@example(argv=["sweep", "--kind", "construct-error", "--beta", "1", "--gamma", "2",
+               "--mu", "1e100", "--d", "1", "--ell-max", "0", "--targets", "1"])
+@example(argv=["construct", "--beta", "1", "--gamma", "2", "--mu", "1e100", "--d", "1",
+               "--ell", "0", "--target", "1e-200"])
+@example(argv=["construct", "--beta", "1.0", "--gamma", "1000.0",
+               "--mu", "1.1725440749685394e+24", "--d", "5", "--ell", "2",
+               "--target", "1.1725429024244644e+24"])
+# target / mu underflows to 0
+@example(argv=["construct", "--beta", "0.5", "--gamma", "1e10", "--mu", "1e100", "--d", "1",
+               "--ell", "0", "--target", "1e-300"])
 def test_fuzzed_float_commands_exit_with_a_documented_code(argv):
+    code, out = _check_run(argv)
+    if code in (0, 4):
+        _assert_finite_output(argv, out)
+
+
+@st.composite
+def construct_argvs(draw) -> list:
+    """argv of ``construct`` inside its domain, where most calls build a
+    gadget: beta is 1 half the time and otherwise in (0.3, 1), gamma is
+    10**U(0.2, 3), mu the construction's field bound times 10**U(0, 12) and
+    the target mu_star times 10**U(-8, 0)."""
+    beta = 1.0 if draw(st.booleans()) else draw(st.floats(0.3, 1))
+    gamma = 10 ** draw(st.floats(0.2, 3))
+    d = draw(st.integers(1, 5))
+    try:
+        bound = construction_field_bound(SpinParams(beta, gamma, 1), d)
+    except DomainError:  # beta*gamma <= 1, which the command refuses too
+        bound = gamma ** d
+    mu = bound * 10 ** draw(st.floats(0, 12))
+    try:
+        mu_star = solve_mu_star(RecursionParams(SpinParams(beta, gamma, mu), d))
+    except (DomainError, NumericError):
+        mu_star = mu
+    target = mu_star * 10 ** draw(st.floats(-8, 0))
+    return ["construct", "--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu),
+            "--d", str(d), "--ell", str(draw(st.integers(0, 4))), "--target", repr(target)]
+
+
+@FUZZ
+@given(argv=construct_argvs())
+def test_fuzzed_construct_in_its_domain_exits_with_a_documented_code(argv):
     code, out = _check_run(argv)
     if code in (0, 4):
         _assert_finite_output(argv, out)

@@ -476,11 +476,14 @@ def test_one_square_root_split_per_certificate(monkeypatch):
     core = FieldedGraph({v: 1 for v in "abcd"},
                         [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
     mu_prime, ising = Fraction(2), SpinParams(beta, gamma, Fraction(3, 2))
-    want_fields = {"bipartite": {v: mu_prime * exact.half_power(up, d) if v in "ae"
-                                 else exact.half_power(up, d) / mu_prime
+    up_root, down_root = exact.sqrt_fraction(up), exact.sqrt_fraction(down)
+    want_fields = {"bipartite": {v: mu_prime * exact.half_power(up, d, up_root) if v in "ae"
+                                 else exact.half_power(up, d, up_root) / mu_prime
                                  for v, d in tree.degrees().items()},
-                   "ising": {v: exact.half_power(down, d) for v, d in core.degrees().items()}}
-    want_scale = {"bipartite": gamma ** 5 / mu_prime ** 3, "ising": exact.half_power(up, 5)}
+                   "ising": {v: exact.half_power(down, d, down_root)
+                             for v, d in core.degrees().items()}}
+    want_scale = {"bipartite": gamma ** 5 / mu_prime ** 3,
+                  "ising": exact.half_power(up, 5, up_root)}
 
     calls = []
     split = exact._squarefree_split
