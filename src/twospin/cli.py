@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import reductions as red
-from .construct import _check_depth, certify as certify_construct
+from .construct import Schedule, _check_depth, certify as certify_construct
 from .core import (ENUM_LIMIT, SpinParams, _float, effective_field, graph_from_json,
                    graph_to_json, partition_and_field, partition_function)
 from .errors import CapacityError, DomainError, InvariantViolation, NumericError, in_float_range
@@ -255,10 +255,11 @@ def cmd_sweep(args) -> int:
                     for t, field, bound in tree_convergence(rp, args.t_max, consts)]
         else:
             _check_depth(args.ell_max)  # before any row is computed
+            schedule = Schedule(rp, consts)  # shared by every row
             rows = []
             for ell in range(args.ell_max + 1):
                 for j in range(1, args.targets + 1):
-                    rep = certify_construct(ell, consts.mu_star * j / args.targets, rp, consts)
+                    rep = certify_construct(ell, consts.mu_star * j / args.targets, rp, schedule)
                     rows.append((ell, rep.target, rep.achieved, rep.log_error,
                                  rep.bound, rep.size))
     _emit(args, dump_csv(SWEEP_COLUMNS[args.kind].split(","), rows))

@@ -15,6 +15,13 @@ what the depth-ell bound sums up.  A loop invariant (the residual equation
 must stay solvable inside (0, mu_star]) is asserted at every level and the
 construction aborts rather than continue past a violation.
 
+The construction is one loop from ell down to 0 over a `Schedule`, which
+holds what depends on (beta, gamma, mu, d) and the level but not on the
+target: the edge ratios, the residual windows and branch thresholds, each
+level's star length, tree depth and cutoff, and the d-ary field table that
+`gadget_field` reads.  A schedule is built once per command, so every level
+of a construction and every target of a sweep share it.
+
 At beta = 1 the published star/cutoff formulas divide by ln(beta) = 0; the
 star length is then chosen directly from the exact decay rate edge_ratio(mu)
 (which dominates beta**w in the proof), and the cutoff uses the same formula
@@ -135,72 +142,121 @@ def _cutoff_star_w(delta: float, rp: RecursionParams) -> int:
                          math.log(mu / delta) / math.log(gamma), 1) - 1
 
 
-def _construct(ell: int, target: float, rp: RecursionParams,
-               C: DecayConstants) -> tuple[GadgetTree, list]:
-    p = rp.params
-    mu = float(p.mu)
-    hmu = edge_ratio(mu, p)
+class Schedule:
+    """The target-independent data of the construction at (rp, C).
 
-    if ell == 0:
-        k = _power_bracket(mu, hmu, target)
-        if k < 1:
-            raise InvariantViolation(
-                f"base case expects a positive star exponent, got k={k} for target {target}")
-        rec = LevelRecord(ell=0, k=k, mu_values=(), branches=(), delta=None,
-                          mu_hat_prime=None, terminal="base-star", terminal_w=k)
-        return Star(k), [rec]
+    The edge ratios and the d-ary field table are plain attributes; the
+    residual windows and branch thresholds are computed at the first level
+    that reads them, and each per-level helper (`_branch_star_w`,
+    `_branch_tree_t`, `_cutoff_delta`, `_cutoff_star_w`) the first time a
+    level needs it, so a helper that refuses its inputs raises where an
+    unshared construction would.  A schedule lives for one command: each
+    `certify` builds its own unless one is passed, as a sweep does.
+    """
 
-    k = max(0, _power_bracket(C.mu_star, hmu, target))
-    if k > MATERIALIZE_LIMIT:  # the comb holds one child per singleton
-        raise CapacityError(f"level ell={ell} needs {k} singleton children, "
-                            f"limit {MATERIALIZE_LIMIT}")
-    singletons = [Star(0)] * k
-    mu_i = target / hmu ** k
+    __slots__ = ("rp", "C", "mu", "hmu", "h_star", "h_zero", "levels", "_bounds", "_memo")
 
-    mu_values = []
-    branches = []
-    h_star = edge_ratio(C.mu_star, p)
-    h_zero = edge_ratio(0, p)
-    for i in range(1, rp.d + 1):
-        # the loop invariant, absorbing float drift at the closed end
-        lo, hi = _residual_window(rp, C.mu_star, i)
-        if hi < mu_i <= hi * (1 + _REL_SLACK):
-            mu_i = hi
-        if not lo < mu_i <= hi:
-            raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
-                                     f"left the solvable window ({lo}, {hi}]")
-        mu_values.append(mu_i)
-        if i == rp.d:
+    def __init__(self, rp: RecursionParams, C: DecayConstants):
+        p = rp.params
+        self.rp, self.C = rp, C
+        self.mu = float(p.mu)
+        self.hmu = edge_ratio(self.mu, p)
+        self.h_star = edge_ratio(C.mu_star, p)
+        self.h_zero = edge_ratio(0, p)
+        self.levels = {}  # gadget_field's d-ary level table
+        self._bounds = None
+        self._memo = {}
+
+    def bounds(self) -> tuple[list, list]:
+        """(the residual window of each i = 1..d, and for i = 1..d-1 the
+        largest residual that takes the star branch)."""
+        if self._bounds is None:
+            rp, d = self.rp, self.rp.d
+            self._bounds = ([_residual_window(rp, self.C.mu_star, i) for i in range(1, d + 1)],
+                            [self.mu * self.h_star * self.h_zero ** (d - i) for i in range(1, d)])
+        return self._bounds
+
+    def once(self, helper, ell: int, *args):
+        """helper(*args) for level ell, computed the first time it is asked for."""
+        key = helper, ell
+        memo = self._memo
+        value = memo.get(key, memo)  # the memo itself: not yet computed
+        if value is memo:
+            value = memo[key] = helper(*args)
+        return value
+
+
+def _construct(ell: int, target: float, s: Schedule) -> tuple[GadgetTree, list]:
+    """The gadget and its per-level trace, top level first: one loop from
+    ell down to the level that ends in a star, then the combs bottom-up."""
+    rp, C = s.rp, s.C
+    mu, hmu, d = s.mu, s.hmu, rp.d
+    trace, children = [], []
+    while ell > 0:
+        k = max(0, _power_bracket(C.mu_star, hmu, target))
+        if k > MATERIALIZE_LIMIT:  # the comb holds one child per singleton
+            raise CapacityError(f"level ell={ell} needs {k} singleton children, "
+                                f"limit {MATERIALIZE_LIMIT}")
+        kids = [Star(0)] * k
+        mu_i = target / hmu ** k
+
+        mu_values = []
+        branches = []
+        windows, thresholds = s.bounds()
+        for i in range(1, d + 1):
+            # the loop invariant, absorbing float drift at the closed end
+            lo, hi = windows[i - 1]
+            if hi < mu_i <= hi * (1 + _REL_SLACK):
+                mu_i = hi
+            if not lo < mu_i <= hi:
+                raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
+                                         f"left the solvable window ({lo}, {hi}]")
+            mu_values.append(mu_i)
+            if i == d:
+                break
+            if thresholds[i - 1] >= mu_i:
+                y = 0.0
+                child = Star(s.once(_branch_star_w, ell, ell, rp, C))
+            else:
+                y = C.mu_star
+                child = DaryTree(d, s.once(_branch_tree_t, ell, ell, rp, C))
+            branches.append(BranchChoice(i=i, y=y, gadget=child))
+            kids.append(child)
+            mu_i = mu_i / (s.h_zero if y == 0.0 else s.h_star)
+
+        ratio = mu_i / mu
+        mu_hat_prime = invert_edge_ratio(ratio, rp.params)
+        if mu_hat_prime > C.mu_star:
+            if mu_hat_prime <= C.mu_star * (1 + _REL_SLACK):
+                mu_hat_prime = C.mu_star
+            else:
+                raise InvariantViolation(
+                    f"residual target {mu_hat_prime} exceeds mu_star {C.mu_star}")
+
+        delta = s.once(_cutoff_delta, ell, ell, rp, C)
+        cutoff = mu_hat_prime <= delta
+        w = s.once(_cutoff_star_w, ell, delta, rp) if cutoff else None
+        trace.append(LevelRecord(ell=ell, k=k, mu_values=tuple(mu_values),
+                                 branches=tuple(branches), delta=delta,
+                                 mu_hat_prime=mu_hat_prime,
+                                 terminal="cutoff-star" if cutoff else "recurse",
+                                 terminal_w=w))
+        children.append(kids)
+        if cutoff:
+            tree = Star(w)
             break
-        if mu * h_star * h_zero ** (rp.d - i) >= mu_i:
-            y = 0.0
-            child = Star(_branch_star_w(ell, rp, C))
-        else:
-            y = C.mu_star
-            child = DaryTree(rp.d, _branch_tree_t(ell, rp, C))
-        branches.append(BranchChoice(i=i, y=y, gadget=child))
-        mu_i = mu_i / (h_zero if y == 0.0 else h_star)
-
-    ratio = mu_i / mu
-    mu_hat_prime = invert_edge_ratio(ratio, p)
-    if mu_hat_prime > C.mu_star:
-        if mu_hat_prime <= C.mu_star * (1 + _REL_SLACK):
-            mu_hat_prime = C.mu_star
-        else:
-            raise InvariantViolation(
-                f"residual target {mu_hat_prime} exceeds mu_star {C.mu_star}")
-
-    delta = _cutoff_delta(ell, rp, C)
-    if mu_hat_prime <= delta:
-        terminal, w = "cutoff-star", _cutoff_star_w(delta, rp)
-        tail, below = Star(w), []
+        ell, target = ell - 1, mu_hat_prime
     else:
-        terminal, w = "recurse", None
-        tail, below = _construct(ell - 1, mu_hat_prime, rp, C)
-    rec = LevelRecord(ell=ell, k=k, mu_values=tuple(mu_values),
-                      branches=tuple(branches), delta=delta,
-                      mu_hat_prime=mu_hat_prime, terminal=terminal, terminal_w=w)
-    return Comb(tuple(singletons + [b.gadget for b in branches] + [tail])), [rec] + below
+        w = _power_bracket(mu, hmu, target)
+        if w < 1:
+            raise InvariantViolation(
+                f"base case expects a positive star exponent, got k={w} for target {target}")
+        trace.append(LevelRecord(ell=0, k=w, mu_values=(), branches=(), delta=None,
+                                 mu_hat_prime=None, terminal="base-star", terminal_w=w))
+        tree = Star(w)
+    for kids in reversed(children):
+        tree = Comb((*kids, tree))
+    return tree, trace
 
 
 def _check_depth(ell: int) -> None:
@@ -238,11 +294,22 @@ def error_bound(ell: int, p_gamma: float, alpha: float) -> float:
 
 
 def certify(ell: int, target: float, rp: RecursionParams,
-            constants: Optional[DecayConstants] = None) -> ConstructReport:
-    """Run the construction, evaluate the gadget exactly, report error vs bound."""
-    target, C = _prepare(ell, target, rp, constants)
-    tree, trace = _construct(ell, target, rp, C)
-    achieved = gadget_field(tree, rp.params)
+            schedule: Schedule | DecayConstants | None = None) -> ConstructReport:
+    """Run the construction, evaluate the gadget exactly, report error vs bound.
+
+    schedule is a `Schedule` built for rp, shared by every call of one
+    command, or the decay constants of rp (None: computed here), from which
+    a schedule for this call alone is built.
+    """
+    if isinstance(schedule, Schedule):
+        if schedule.rp != rp:
+            raise DomainError("the construction schedule was built for other parameters")
+        target, C = _prepare(ell, target, rp, schedule.C)
+    else:
+        target, C = _prepare(ell, target, rp, schedule)
+        schedule = Schedule(rp, C)
+    tree, trace = _construct(ell, target, schedule)
+    achieved = gadget_field(tree, rp.params, schedule.levels)
     return ConstructReport(
         gadget=tree,
         target=target,

@@ -12,10 +12,11 @@ level map to mu).  `gadget_field`, `tree_size` and `gadget_to_json` are
 one fold over the tree (`_fold`), which visits each node once per position
 it holds, except that a run of one child object inside a comb is one visit.
 A d-ary tree is one visit too: its field comes from a per-(d, t) level
-cache, its size and JSON from (d, t) alone.  So a depth-t tree costs O(t)
-even though it has d**t leaves, and the k singleton children that one
-construction level shares cost one visit, not k.  `materialize` emits the
-explicit graph for cross-checks against the exhaustive evaluator.
+table, which a construction schedule shares across gadgets, its size and
+JSON from (d, t) alone.  So a depth-t tree costs O(t) even though it has
+d**t leaves, and the k singleton children that one construction level
+shares cost one visit, not k.  `materialize` emits the explicit graph for
+cross-checks against the exhaustive evaluator.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .errors import CapacityError, DomainError, NumericError, in_float_range
 from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio
 
 MATERIALIZE_LIMIT = 10 ** 6
-# Deepest construction (`construct.certify`'s ell): every gadget walker takes
-# a stack frame per comb level, and the JSON writer two, so a gadget this
-# deep fits Python's default recursion limit of 1,000 with room to spare for
-# the caller's frames.
+# Deepest construction (`construct.certify`'s ell).  The construction itself
+# is a loop, but the folds and `materialize` take a stack frame per comb
+# level, and the JSON writer two, so a gadget this deep fits Python's default
+# recursion limit of 1,000 with room to spare for the caller's frames.
 DEPTH_LIMIT = 400
 
 
@@ -109,14 +110,19 @@ def _fold(tree: GadgetTree, star, dary, comb):
         del fold  # fold's cell refers to fold: a cycle only the collector would free
 
 
-def gadget_field(tree: GadgetTree, p: SpinParams):
+def gadget_field(tree: GadgetTree, p: SpinParams, levels: dict | None = None):
     """Exact effective field of the gadget via the product recursion.
 
     Costs one visit per run of one child object, as `_fold` does, and one
     edge_ratio per run.  The product is still taken left to right, one
     factor per copy, so the value is the plain recursion's, bit for bit.
+    levels (d -> fields of the d-ary trees of depth 0, 1, ...) is the table
+    the d-ary fields are read from and extended in; callers that evaluate
+    many gadgets at one p may share one.  It only caches, so it changes no
+    value; None gives a fresh one.
     """
-    levels = {}  # d -> fields of the d-ary trees of depth 0, 1, ...
+    if levels is None:
+        levels = {}
 
     def dary(d, t):
         fields = levels.setdefault(d, [p.mu])

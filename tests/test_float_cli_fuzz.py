@@ -10,8 +10,10 @@ written with 12 significant digits.
 
 ``fixpoint``, ``construct``, ``thresholds``, every ``sweep`` kind, and float
 ``reduce --kind bipartite|contract|ising|pipeline`` with and without
-``--no-verify``, take their numbers from the same values.  ``selfloop`` is
-left out: its achieved field can still overflow as an OverflowError.
+``--no-verify``, take their numbers from the same values.  ``construct`` and
+``sweep --kind construct-error`` also draw values inside the construction's
+domain, where most calls succeed.  ``selfloop`` is left out: its achieved
+field can still overflow as an OverflowError.
 
 Every call runs in-process through ``twospin.cli.main``.  It exits 0, 2
 (domain, or a value beyond the float range), 3 (capacity) or 4
@@ -189,10 +191,12 @@ def test_fuzzed_float_commands_exit_with_a_documented_code(argv):
 
 @st.composite
 def construct_argvs(draw) -> list:
-    """argv of ``construct`` inside its domain, where most calls build a
-    gadget: beta is 1 half the time and otherwise in (0.3, 1), gamma is
-    10**U(0.2, 3), mu the construction's field bound times 10**U(0, 12) and
-    the target mu_star times 10**U(-8, 0)."""
+    """argv of ``construct``, or of ``sweep --kind construct-error``, inside
+    their domain, where most calls build a gadget: beta is 1 half the time
+    and otherwise in (0.3, 1), gamma is 10**U(0.2, 3), mu the construction's
+    field bound times 10**U(0, 12) and the target mu_star times 10**U(-8, 0).
+    A sweep has 0 to 3 as --ell-max and 1 to 4 --targets, which share one
+    construction schedule."""
     beta = 1.0 if draw(st.booleans()) else draw(st.floats(0.3, 1))
     gamma = 10 ** draw(st.floats(0.2, 3))
     d = draw(st.integers(1, 5))
@@ -205,9 +209,13 @@ def construct_argvs(draw) -> list:
         mu_star = solve_mu_star(RecursionParams(SpinParams(beta, gamma, mu), d))
     except (DomainError, NumericError):
         mu_star = mu
+    bgmd = ["--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu), "--d", str(d)]
+    if draw(st.booleans()):
+        return ["sweep", "--kind", "construct-error", *bgmd,
+                "--ell-max", str(draw(st.integers(0, 3))),
+                "--targets", str(draw(st.integers(1, 4)))]
     target = mu_star * 10 ** draw(st.floats(-8, 0))
-    return ["construct", "--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu),
-            "--d", str(d), "--ell", str(draw(st.integers(0, 4))), "--target", repr(target)]
+    return ["construct", *bgmd, "--ell", str(draw(st.integers(0, 4))), "--target", repr(target)]
 
 
 @FUZZ
