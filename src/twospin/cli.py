@@ -341,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one.
 
     Each ``parse_args`` returns a fresh namespace and help is formatted when
-    printed, so sharing it changes no output.
+    printed, so sharing it changes no output.  ``add_argument`` leaves a help
+    formatter in a reference cycle per flag; with the collector paused, as
+    `main` runs this, they are all in the youngest generation, and one
+    collection of it frees them.
     """
     parser = argparse.ArgumentParser(
         prog="twospin",
@@ -354,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in flags.items():
             p.add_argument(flag, **spec)
         p.set_defaults(func=func)
+    gc.collect(0)
     return parser
 
 

@@ -19,8 +19,13 @@ The construction is one loop from ell down to 0 over a `Schedule`, which
 holds what depends on (beta, gamma, mu, d) and the level but not on the
 target: the edge ratios, the residual windows and branch thresholds, each
 level's star length, tree depth and cutoff, and the d-ary field table that
-`gadget_field` reads.  A schedule is built once per command, so every level
-of a construction and every target of a sweep share it.
+`gadget_field` reads.  It also memoises each residual's level step (k, the
+residuals mu_i and the branch kinds), keyed by the residual, which depends
+on no level.  A schedule is built once per command, so every level of a
+construction and every target of a sweep share it, and a sweep over T
+targets and depths 0..ell_max takes about T * ell_max steps, not
+T * ell_max**2 / 2: a target's rows share one residual chain.  The loop
+also counts the gadget's vertices as it builds the combs bottom-up.
 
 At beta = 1 the published star/cutoff formulas divide by ln(beta) = 0; the
 star length is then chosen directly from the exact decay rate edge_ratio(mu)
@@ -36,11 +41,12 @@ from typing import NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, InvariantViolation, NumericError, in_float_range
 from .gadgets import (DEPTH_LIMIT, MATERIALIZE_LIMIT, Comb, DaryTree, GadgetTree, Star,
-                      gadget_field, tree_size)
+                      dary_size, gadget_field)
 from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
                         decay_constants, edge_ratio, invert_edge_ratio, least_integer)
 
 _REL_SLACK = 1e-9
+_SINGLETON = Star(0)
 
 
 def _residual_window(rp: RecursionParams, mu_star: float, i: int) -> tuple[float, float]:
@@ -73,7 +79,7 @@ class LevelRecord(NamedTuple):
 
 
 class ConstructReport(NamedTuple):
-    """Certified result: the gadget, its exact field, and the depth-ell bound."""
+    """Certified result: the gadget, its field, and the depth-ell bound."""
     gadget: GadgetTree
     target: float
     achieved: float
@@ -143,15 +149,17 @@ def _cutoff_star_w(delta: float, rp: RecursionParams) -> int:
 
 
 class Schedule:
-    """The target-independent data of the construction at (rp, C).
+    """The target-independent data of the construction at (rp, C), and
+    each residual's level step.
 
     The edge ratios and the d-ary field table are plain attributes; the
     residual windows and branch thresholds are computed at the first level
     that reads them, and each per-level helper (`_branch_star_w`,
     `_branch_tree_t`, `_cutoff_delta`, `_cutoff_star_w`) the first time a
     level needs it, so a helper that refuses its inputs raises where an
-    unshared construction would.  A schedule lives for one command: each
-    `certify` builds its own unless one is passed, as a sweep does.
+    unshared construction would.  `_residual_step` is memoised by its
+    residual target.  A schedule lives for one command: each `certify`
+    builds its own unless one is passed, as a sweep does.
     """
 
     __slots__ = ("rp", "C", "mu", "hmu", "h_star", "h_zero", "levels", "_bounds", "_memo")
@@ -176,9 +184,10 @@ class Schedule:
                             [self.mu * self.h_star * self.h_zero ** (d - i) for i in range(1, d)])
         return self._bounds
 
-    def once(self, helper, ell: int, *args):
-        """helper(*args) for level ell, computed the first time it is asked for."""
-        key = helper, ell
+    def once(self, helper, key, *args):
+        """helper(*args) for key, a level or a residual target, computed the
+        first time it is asked for."""
+        key = helper, key
         memo = self._memo
         value = memo.get(key, memo)  # the memo itself: not yet computed
         if value is memo:
@@ -186,46 +195,74 @@ class Schedule:
         return value
 
 
-def _construct(ell: int, target: float, s: Schedule) -> tuple[GadgetTree, list]:
-    """The gadget and its per-level trace, top level first: one loop from
-    ell down to the level that ends in a star, then the combs bottom-up."""
-    rp, C = s.rp, s.C
-    mu, hmu, d = s.mu, s.hmu, rp.d
+def _star_branch(ell: int, s: Schedule) -> tuple[Star, int]:
+    """Level ell's star branch child and its vertex count."""
+    w = _branch_star_w(ell, s.rp, s.C)
+    return Star(w), w + 1
+
+
+def _tree_branch(ell: int, s: Schedule) -> tuple[DaryTree, int]:
+    """Level ell's d-ary tree branch child and its vertex count."""
+    d, t = s.rp.d, _branch_tree_t(ell, s.rp, s.C)
+    return DaryTree(d, t), dary_size(d, t)
+
+
+def _residual_step(target: float, s: Schedule) -> tuple[int, tuple, tuple]:
+    """The arithmetic of a level that reads the residual target and not the
+    level: (k, the residuals mu_1, mu_2, ..., each branch's ideal value y).
+
+    The residuals end at mu_d, or at the first one outside its window.  The
+    step does not refuse that one: `_construct` does, naming the level,
+    after the level helpers of the branches before it, where a level that
+    checked as it went would.  A k past the singleton limit ends the step.
+    """
+    C, d = s.C, s.rp.d
+    k = max(0, _power_bracket(C.mu_star, s.hmu, target))
+    if k > MATERIALIZE_LIMIT:
+        return k, (), ()
+    mu_i = target / s.hmu ** k
+    mu_values, ys = [], []
+    windows, thresholds = s.bounds()
+    for i in range(1, d + 1):
+        # the loop invariant, absorbing float drift at the closed end
+        lo, hi = windows[i - 1]
+        if hi < mu_i <= hi * (1 + _REL_SLACK):
+            mu_i = hi
+        mu_values.append(mu_i)
+        if i == d or not lo < mu_i <= hi:
+            break
+        y = 0.0 if thresholds[i - 1] >= mu_i else C.mu_star
+        ys.append(y)
+        mu_i = mu_i / (s.h_zero if y == 0.0 else s.h_star)
+    return k, tuple(mu_values), tuple(ys)
+
+
+def _construct(ell: int, target: float, s: Schedule) -> tuple[GadgetTree, list, int]:
+    """The gadget, its per-level trace (top level first) and its vertex
+    count: one loop from ell down to the level that ends in a star, then
+    the combs bottom-up."""
+    rp, C, mu = s.rp, s.C, s.mu
     trace, children = [], []
     while ell > 0:
-        k = max(0, _power_bracket(C.mu_star, hmu, target))
+        k, mu_values, ys = s.once(_residual_step, target, target, s)
         if k > MATERIALIZE_LIMIT:  # the comb holds one child per singleton
             raise CapacityError(f"level ell={ell} needs {k} singleton children, "
                                 f"limit {MATERIALIZE_LIMIT}")
-        kids = [Star(0)] * k
-        mu_i = target / hmu ** k
-
-        mu_values = []
+        kids = [_SINGLETON] * k
+        size = k  # the kids' vertices
         branches = []
-        windows, thresholds = s.bounds()
-        for i in range(1, d + 1):
-            # the loop invariant, absorbing float drift at the closed end
-            lo, hi = windows[i - 1]
-            if hi < mu_i <= hi * (1 + _REL_SLACK):
-                mu_i = hi
-            if not lo < mu_i <= hi:
-                raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
-                                         f"left the solvable window ({lo}, {hi}]")
-            mu_values.append(mu_i)
-            if i == d:
-                break
-            if thresholds[i - 1] >= mu_i:
-                y = 0.0
-                child = Star(s.once(_branch_star_w, ell, ell, rp, C))
-            else:
-                y = C.mu_star
-                child = DaryTree(d, s.once(_branch_tree_t, ell, ell, rp, C))
+        for i, y in enumerate(ys, 1):
+            child, child_size = s.once(_star_branch if y == 0.0 else _tree_branch, ell, ell, s)
             branches.append(BranchChoice(i=i, y=y, gadget=child))
             kids.append(child)
-            mu_i = mu_i / (s.h_zero if y == 0.0 else s.h_star)
+            size += child_size
+        i, mu_i = len(mu_values), mu_values[-1]  # the step stops at a refused residual
+        lo, hi = s.bounds()[0][i - 1]
+        if not lo < mu_i <= hi:
+            raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
+                                     f"left the solvable window ({lo}, {hi}]")
 
-        ratio = mu_i / mu
-        mu_hat_prime = invert_edge_ratio(ratio, rp.params)
+        mu_hat_prime = invert_edge_ratio(mu_i / mu, rp.params)
         if mu_hat_prime > C.mu_star:
             if mu_hat_prime <= C.mu_star * (1 + _REL_SLACK):
                 mu_hat_prime = C.mu_star
@@ -236,27 +273,26 @@ def _construct(ell: int, target: float, s: Schedule) -> tuple[GadgetTree, list]:
         delta = s.once(_cutoff_delta, ell, ell, rp, C)
         cutoff = mu_hat_prime <= delta
         w = s.once(_cutoff_star_w, ell, delta, rp) if cutoff else None
-        trace.append(LevelRecord(ell=ell, k=k, mu_values=tuple(mu_values),
+        trace.append(LevelRecord(ell=ell, k=k, mu_values=mu_values,
                                  branches=tuple(branches), delta=delta,
                                  mu_hat_prime=mu_hat_prime,
                                  terminal="cutoff-star" if cutoff else "recurse",
                                  terminal_w=w))
-        children.append(kids)
+        children.append((kids, size))
         if cutoff:
-            tree = Star(w)
             break
         ell, target = ell - 1, mu_hat_prime
     else:
-        w = _power_bracket(mu, hmu, target)
+        w = _power_bracket(mu, s.hmu, target)
         if w < 1:
             raise InvariantViolation(
                 f"base case expects a positive star exponent, got k={w} for target {target}")
         trace.append(LevelRecord(ell=0, k=w, mu_values=(), branches=(), delta=None,
                                  mu_hat_prime=None, terminal="base-star", terminal_w=w))
-        tree = Star(w)
-    for kids in reversed(children):
-        tree = Comb((*kids, tree))
-    return tree, trace
+    tree, size = Star(w), w + 1
+    for kids, kids_size in reversed(children):
+        tree, size = Comb((*kids, tree)), 1 + kids_size + size
+    return tree, trace, size
 
 
 def _check_depth(ell: int) -> None:
@@ -295,7 +331,11 @@ def error_bound(ell: int, p_gamma: float, alpha: float) -> float:
 
 def certify(ell: int, target: float, rp: RecursionParams,
             schedule: Schedule | DecayConstants | None = None) -> ConstructReport:
-    """Run the construction, evaluate the gadget exactly, report error vs bound.
+    """Run the construction, evaluate the gadget, report error vs bound.
+
+    The field is `gadget_field`'s product recursion in the parameters'
+    number type, so on float parameters a float, not a proved enclosure
+    (ROADMAP item 4); the size is counted by the construction loop.
 
     schedule is a `Schedule` built for rp, shared by every call of one
     command, or the decay constants of rp (None: computed here), from which
@@ -308,7 +348,7 @@ def certify(ell: int, target: float, rp: RecursionParams,
     else:
         target, C = _prepare(ell, target, rp, schedule)
         schedule = Schedule(rp, C)
-    tree, trace = _construct(ell, target, schedule)
+    tree, trace, size = _construct(ell, target, schedule)
     achieved = gadget_field(tree, rp.params, schedule.levels)
     return ConstructReport(
         gadget=tree,
@@ -316,7 +356,7 @@ def certify(ell: int, target: float, rp: RecursionParams,
         achieved=achieved,
         log_error=math.log(achieved / target),
         bound=error_bound(ell, float(rp.params.gamma), C.alpha),
-        size=tree_size(tree),
+        size=size,
         depth=ell,
         trace=tuple(trace),
     )

@@ -5,7 +5,8 @@ the uniform mu.  Its effective field obeys the product recursion
 
     field(comb(G_1..G_k)) = mu * prod_i edge_ratio(field(G_i)),
 
-so arbitrary gadget trees evaluate exactly without materialising the graph:
+so arbitrary gadget trees evaluate without materialising the graph, exactly
+on int, Fraction or Quad parameters and as a float recursion on floats:
 Star(w) is a w-star rooted at the centre (field mu * edge_ratio(mu)**w) and
 DaryTree(d, t) is the depth-t complete d-ary tree (t applications of the
 level map to mu).  `gadget_field`, `tree_size` and `gadget_to_json` are
@@ -111,7 +112,10 @@ def _fold(tree: GadgetTree, star, dary, comb):
 
 
 def gadget_field(tree: GadgetTree, p: SpinParams, levels: dict | None = None):
-    """Exact effective field of the gadget via the product recursion.
+    """Effective field of the gadget via the product recursion.
+
+    Exact on int, Fraction or Quad parameters; on floats it is the float
+    recursion, rounded at every step, not a proved bound (ROADMAP item 4).
 
     Costs one visit per run of one child object, as `_fold` does, and one
     edge_ratio per run.  The product is still taken left to right, one
@@ -141,14 +145,17 @@ def gadget_field(tree: GadgetTree, p: SpinParams, levels: dict | None = None):
     return _fold(tree, lambda w: p.mu * edge_ratio(p.mu, p) ** w, dary, comb)
 
 
+def dary_size(d: int, t: int) -> int:
+    """Vertex count of DaryTree(d, t)."""
+    return t + 1 if d == 1 else (d ** (t + 1) - 1) // (d - 1)
+
+
 def tree_size(tree: GadgetTree) -> int:
     """Vertex count of the materialised gadget (computed structurally).
 
     Costs one visit per run of one child object, as `gadget_field` does.
     """
-    return _fold(tree, lambda w: w + 1,
-                 lambda d, t: t + 1 if d == 1 else (d ** (t + 1) - 1) // (d - 1),
-                 lambda sizes: 1 + sum(sizes))
+    return _fold(tree, lambda w: w + 1, dary_size, lambda sizes: 1 + sum(sizes))
 
 
 def materialize(tree: GadgetTree, p: SpinParams,

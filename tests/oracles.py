@@ -9,24 +9,36 @@ import itertools
 
 
 def brute_z(fields, edges, beta, gamma, pins=None):
-    """Sum over all spin configurations of the vertex/edge factor product."""
+    """Sum over all spin configurations of the vertex/edge factor product.
+
+    Each configuration's edge factor is beta**n00 * gamma**n11, read from
+    power tables built once per call, where n00 and n11 count its edges
+    with both ends at spin 0 and both at spin 1.
+    """
     pins = pins or {}
     ids = sorted(fields)
+    position = {v: i for i, v in enumerate(ids)}
+    ends = [(position[u], position[v]) for u, v in edges]
+    beta_pow, gamma_pow = [1], [1]
+    for _ in edges:
+        beta_pow.append(beta_pow[-1] * beta)
+        gamma_pow.append(gamma_pow[-1] * gamma)
     total = 0
     for spins in itertools.product((0, 1), repeat=len(ids)):
-        assignment = dict(zip(ids, spins))
-        if any(assignment[v] != s for v, s in pins.items()):
+        if any(spins[position[v]] != s for v, s in pins.items()):
             continue
         w = 1
-        for v in ids:
-            if assignment[v] == 0:
+        for v, s in zip(ids, spins):
+            if s == 0:
                 w = w * fields[v]
-        for u, v in edges:
-            if assignment[u] == 0 and assignment[v] == 0:
-                w = w * beta
-            elif assignment[u] == 1 and assignment[v] == 1:
-                w = w * gamma
-        total = total + w
+        n00 = n11 = 0
+        for i, j in ends:
+            if spins[i] == spins[j]:
+                if spins[i]:
+                    n11 += 1
+                else:
+                    n00 += 1
+        total = total + w * beta_pow[n00] * gamma_pow[n11]
     return total
 
 

@@ -1274,6 +1274,23 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
             gc.enable()
 
 
+FIRST_CALL_GARBAGE = """
+import contextlib, gc, io
+from twospin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["thresholds", "--beta", "1", "--gamma", "2"])
+print(code, gc.collect())
+"""
+
+
+def test_the_first_command_leaves_no_cyclic_garbage():
+    """The first call builds the shared parser, in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", FIRST_CALL_GARBAGE],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_restores_the_collector_state(tmp_path, monkeypatch, enabled):
     import twospin.cli as cli_mod

@@ -6,7 +6,9 @@ keep a copy of the earlier recursive construction, which recomputed every
 target-independent quantity at every level and gave `gadget_field` a fresh
 level table per call, and assert that both give equal reports (gadget,
 trace and every other field) and refuse the same inputs with the same
-message.  A spy counts the per-level helpers inside one sweep command.
+message.  Spies count the per-level helpers and the residual steps inside
+one sweep command, and the calls of `gadget_field` per report, whose size
+the construction loop counts.
 """
 
 import contextlib
@@ -203,3 +205,46 @@ def test_per_level_helpers_run_once_per_level_and_command(monkeypatch):
     assert outputs[0] == outputs[1]
     for module, before in modules.items():
         assert vars(module) == before, module.__name__
+
+
+def test_each_residual_step_runs_once_per_command(monkeypatch):
+    calls = {}
+
+    def spy(target, s, helper=construct._residual_step):
+        calls[target] = calls.get(target, 0) + 1
+        return helper(target, s)
+
+    monkeypatch.setattr(construct, "_residual_step", spy)
+    ell_max, targets = 6, 20
+    argv = ["sweep", "--kind", "construct-error", "--beta", "0.9", "--gamma", "1.5",
+            "--mu", "12.5", "--d", "2", "--ell-max", str(ell_max), "--targets", str(targets)]
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert calls and set(calls.values()) == {1}, calls
+        # each target's rows share one residual chain: at most ell_max steps
+        # per target, where a construction per row would take ell_max**2 / 2
+        assert len(calls) <= targets * ell_max
+        calls.clear()  # the next command's schedule takes every step again
+
+
+def test_size_is_the_gadget_size_and_the_field_is_evaluated_once(monkeypatch):
+    evaluated = []
+
+    def spy(tree, p, levels=None, helper=construct.gadget_field):
+        evaluated.append(tree)
+        return helper(tree, p, levels)
+
+    monkeypatch.setattr(construct, "gadget_field", spy)
+    # acceptance criterion 4's grid, certified per row and as one sweep would
+    for beta, gamma, mu, d in [(1.0, 2.0, 20.0, 1), (0.8, 2.0, 40.0, 2), (0.9, 3.0, 30.0, 1)]:
+        rp = RecursionParams(SpinParams(beta, gamma, mu), d)
+        C = decay_constants(rp)
+        shared = Schedule(rp, C)
+        for ell in range(9):
+            for j in range(1, 101):
+                for schedule in (C, shared):
+                    report = certify(ell, C.mu_star * j / 100, rp, schedule)
+                    assert len(evaluated) == 1 and evaluated[0] is report.gadget
+                    assert report.size == tree_size(report.gadget), (beta, ell, j)
+                    evaluated.clear()

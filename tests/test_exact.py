@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twospin.exact import Quad, _squarefree_split, half_power, is_exact, sqrt_fraction
 
@@ -171,3 +173,58 @@ def test_quad_is_immutable_and_hashable():
         s2.a = Fraction(1)
     assert hash(Quad(3)) == hash(Fraction(3))
     assert len({s2, sqrt_fraction(2), Quad(1)}) == 2
+
+
+# Quads of one radicand m, the values one exact evaluation combines.  The
+# radicands are not squares, and 8 and 12 are not squarefree either.
+_RADICANDS = st.sampled_from([2, 3, 5, 8, 12, 2026])
+_COEFF = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 3)
+_FIELD = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def _quads(draw, count):
+    m = draw(_RADICANDS)
+    return [Quad(draw(_COEFF), draw(_COEFF), m) for _ in range(count)]
+
+
+def _mp(x: Quad):
+    return mpmath.mpf(x.a.numerator) / x.a.denominator \
+        + mpmath.mpf(x.b.numerator) / x.b.denominator * mpmath.sqrt(x.m)
+
+
+@_FIELD
+@given(_quads(3))
+def test_quad_sum_and_product_obey_the_field_axioms(xyz):
+    x, y, z = xyz
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x + y == y + x and x * y == y * x
+    assert x - x == 0 and x + (-x) == 0
+    assert x - y == -(y - x) and (x - y) + y == x
+
+
+@_FIELD
+@given(_quads(2))
+def test_quad_division_inverts_the_product(xy):
+    x, y = xy
+    if x:
+        assert x * (1 / x) == 1 and x / x == 1
+        assert (y / x) * x == y
+        assert y / x == y * x ** -1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
+
+
+@_FIELD
+@given(_quads(2))
+def test_quad_order_agrees_with_80_digit_reals(xy):
+    x, y = xy
+    with mpmath.workdps(80):
+        mx, my = _mp(x), _mp(y)
+        assert (x < y) == (mx < my) and (x > y) == (mx > my)
+        assert (x <= y) == (mx <= my) and (x == y) == (mx == my)
+        assert (x < 0) == (mx < 0) and (x == 0) == (mx == 0)
