@@ -23,6 +23,7 @@ cross-checks against the exhaustive evaluator.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Union
 
 from .core import FieldedGraph, SpinParams
@@ -200,12 +201,16 @@ def materialize(tree: GadgetTree, p: SpinParams,
 
 def star_convergence(p: SpinParams, w_max: int) -> list[tuple[int, float, float]]:
     """(w, field, mu*beta**w) for w = 0..w_max; a field or bound beyond the
-    float range is a NumericError that names its column and row."""
+    float range, or a float field below the normal range (where the repeated
+    product would stick at a subnormal), is a NumericError that names its
+    column and row."""
     ratio = edge_ratio(p.mu, p)
     out = []
     field = p.mu
     for w in range(w_max + 1):
         try:
+            if isinstance(field, float) and field < sys.float_info.min:
+                raise NumericError("the star sweep's field underflows a float")
             out.append((w, in_float_range("the star sweep's field", lambda: field),
                         in_float_range("the star sweep's beta_power_bound",
                                        lambda: p.mu * p.beta ** w)))

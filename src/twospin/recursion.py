@@ -291,12 +291,15 @@ def construction_field_bound(p: SpinParams, d: int) -> float:
 
 
 def hardness_thresholds(p: SpinParams, d: int | None = None) -> HardnessThresholds:
-    """Delta, d and the field bounds; requires beta < gamma and beta*gamma > 1."""
+    """Delta, d and the field bounds; requires beta < gamma, beta*gamma > 1
+    and, when d is given, d >= 1."""
     beta, gamma = float(p.beta), float(p.gamma)
     if not beta < gamma:
         raise DomainError("requires beta < gamma")
     if not beta * gamma > 1:
         raise DomainError("requires a ferromagnetic system (beta*gamma > 1)")
+    if d is not None and d < 1:
+        raise DomainError("arity d must be a positive integer")
     s = math.sqrt(beta * gamma)
     # an s of inf makes the ratio nan, which in_float_range also refuses
     Delta = math.floor(in_float_range("Delta", lambda: (s + 1) / (s - 1))) + 1

@@ -1,8 +1,8 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
 These deliberately share no code with the package: a literal sum over all
-configurations, computed with plain Python products, in whatever number type
-the inputs carry.
+configurations, or a product of 2x2 transfer matrices, computed with plain
+Python products in whatever number type the inputs carry.
 """
 
 import itertools
@@ -40,6 +40,20 @@ def brute_z(fields, edges, beta, gamma, pins=None):
                     n00 += 1
         total = total + w * beta_pow[n00] * gamma_pow[n11]
     return total
+
+
+def cycle_z(beta, gamma, fields):
+    """Z of the cycle fields[0] - fields[1] - ... - fields[-1] - fields[0].
+
+    The trace of the product, over the vertices in cycle order, of
+    diag(f_v, 1) A, where A = [[beta, 1], [1, gamma]] holds the edge weight of
+    each pair of spins (spin 0 carries the field).
+    """
+    m = [[1, 0], [0, 1]]
+    for f in fields:
+        t = [[f * beta, f], [1, gamma]]  # diag(f, 1) A
+        m = [[m[i][0] * t[0][j] + m[i][1] * t[1][j] for j in (0, 1)] for i in (0, 1)]
+    return m[0][0] + m[1][1]
 
 
 def brute_effective_field(fields, edges, beta, gamma, output):

@@ -132,6 +132,58 @@ def test_float_range_checks_are_the_rule_or_listed():
     assert found == RANGE_CHECKS
 
 
+# Hand-set float tolerances: every float literal below 1e-6 and every
+# ``1 + <float>`` or ``1 - <float>``, by module and enclosing function (a
+# module-level assignment counts as its target's name).  A certified result
+# should rest on an exact check, an enclosure or a derived bound instead, so
+# this list may only shrink.
+TOLERANCES = sorted([
+    ("cli.py", "COMMANDS", "1e-12"),
+    ("cli.py", "_reduce_selfloop", "1e-09"),
+    ("construct.py", "_REL_SLACK", "1e-09"),
+    ("construct.py", "_prepare", "1 + 1e-12"),
+    ("recursion.py", "decay_constants", "1e-12"),
+    ("recursion.py", "fixed_point_iterates", "1e-12"),
+    ("recursion.py", "solve_mu_star", "1e-12"),
+    ("reductions.py", "to_ising", "1 + 1e-12"),
+    ("reductions.py", "verify_reduction", "1e-09"),
+])
+
+
+def _tolerances(tree: ast.AST) -> list:
+    """(enclosing scope, literal) of each float literal below 1e-6 in
+    magnitude, other than 0, and each 1 + or 1 - a float literal."""
+    found = []
+
+    def is_float(node):
+        return isinstance(node, ast.Constant) and type(node.value) is float
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif not scope and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            scope = tuple(t.id for t in targets if isinstance(t, ast.Name))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and is_float(node.right)):
+            found.append((".".join(scope), ast.unparse(node)))
+            return
+        if is_float(node) and 0 < abs(node.value) < 1e-6:
+            found.append((".".join(scope), repr(node.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_hand_set_float_tolerances_are_listed():
+    found = sorted((module, *tol) for module, tree in MODULES.items()
+                   for tol in _tolerances(tree))
+    assert found == TOLERANCES
+
+
 def test_every_error_class_has_an_exit_code():
     # a library error without a row in `cli._EXIT` ends the CLI in a traceback
     from twospin import cli, errors

@@ -6,8 +6,10 @@ import math
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -525,6 +527,76 @@ def test_output_flag_writes_identical_file(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+def test_rewrites_in_place_leave_no_stale_tail(tmp_path, capsys):
+    # a long CSV, a short JSON over it, then the long CSV again: each time the
+    # file holds exactly what the command printed
+    out_path = str(tmp_path / "out")
+    long_argv = ["sweep", "--kind", "star", "--beta", "1", "--gamma", "2", "--mu", "20",
+                 "--w-max", "200", "--output", out_path]
+    short_argv = ["thresholds", "--beta", "1", "--gamma", "2", "--output", out_path]
+    sizes = []
+    for argv in (long_argv, short_argv, long_argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert Path(out_path).read_bytes() == out.encode()
+        sizes.append(len(out))
+    assert sizes[0] > sizes[1]
+
+
+def test_output_file_mode_and_inode(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("x" * 10_000)
+    old.chmod(0o600)
+    before = old.stat()
+    argv = ["thresholds", "--beta", "1", "--gamma", "2", "--output"]
+    umask = os.umask(0o002)
+    try:
+        assert run(capsys, [*argv, str(new)])[0] == 0
+        assert run(capsys, [*argv, str(old)])[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o664  # 0o666 & ~umask, as open(path, "w")
+    after = old.stat()  # rewritten in place, not replaced
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert old.read_text() == new.read_text()
+
+
+def test_output_to_dev_null_a_fifo_and_a_directory(tmp_path, capsys):
+    # /dev/null and a FIFO are written and never cut (ftruncate would fail)
+    argv = ["thresholds", "--beta", "1", "--gamma", "2"]
+    code, out = run(capsys, argv)
+    assert run(capsys, [*argv, "--output", os.devnull]) == (code, out) == (0, out)
+    fifo, read = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, [*argv, "--output", str(fifo)]) == (0, out)
+    reader.join(timeout=10)
+    assert read == [out]
+    assert main([*argv, "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_written_files_are_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    real_open, calls = os.open, []
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    paths = [str(tmp_path / name) for name in ("g.json", "m.json", "out.json")]
+    argv = ["construct", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "2",
+            "--target", "10", "--emit-gadget", paths[0], "--materialize", paths[1],
+            "--output", paths[2]]
+    for _ in range(2):  # files created, then rewritten
+        assert run(capsys, argv)[0] == 0
+    assert [path for path, _ in calls] == paths * 2
+    assert all(flags & os.O_TRUNC == 0 and flags & os.O_CREAT for _, flags in calls)
+
+
 GOLDEN_EVAL_RATIONAL = """\
 {
   "Z": 10.0,
@@ -881,6 +953,11 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
     # the residual target leaves (0, mu_star] by 3.7e-5 relative: a failed invariant
     ["construct", "--beta", "0.9", "--gamma", "1000.0", "--mu", "1220873586480681.8",
      "--d", "2", "--ell", "2", "--target", "988907605047354.5"],
+    ["thresholds", "--beta", "1.5", "--gamma", "2", "--d", "-5"],
+    ["thresholds", "--beta", "1", "--gamma", "2", "--d", "0"],
+    # field * ratio leaves the normal range at w = 15293 and would stick there
+    ["sweep", "--kind", "star", "--beta", "1", "--gamma", "2", "--mu", "20",
+     "--w-max", "20000"],
 ], ids=["selfloop-no-target", "selfloop-no-m", "selfloop-no-beta", "eval-beta-abc",
         "reduce-mu-abc", "missing-input", "malformed-input", "sweep-no-mu",
         "ising-beta-0",
@@ -890,7 +967,8 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
         "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
         "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound",
-        "sweep-uniqueness-sliver", "construct-invariant-violation"])
+        "sweep-uniqueness-sliver", "construct-invariant-violation",
+        "thresholds-d-negative", "thresholds-d-zero", "sweep-star-underflow"])
 def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     files = {"k2": write_doc(tmp_path, K2_DOC, name="k2.json"),
              "missing": str(tmp_path / "absent.json"),
@@ -906,14 +984,18 @@ def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
                           capture_output=True, text=True, env=_subprocess_env())
     # a result beyond the float range is a numeric error that names the quantity
-    numeric = {"thresholds-delta-nan": "numeric error: Delta overflows a float",
+    expected = {"thresholds-delta-nan": "numeric error: Delta overflows a float",
                "sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
                "sweep-star-w-max-100": "numeric error: the star sweep's field overflows",
                "sweep-tree-bound": "numeric error: the tree sweep's ratio_bound overflows "
                                    "a float at t = 0",
-               "construct-invariant-violation": "invariant violation: residual target "}
+               "construct-invariant-violation": "invariant violation: residual target ",
+               "thresholds-d-negative": "domain error: arity d must be a positive integer\n",
+               "thresholds-d-zero": "domain error: arity d must be a positive integer\n",
+               "sweep-star-underflow": "numeric error: the star sweep's field underflows "
+                                       "a float at w = 15293\n"}
     assert proc.returncode == 2
-    assert proc.stderr.startswith(numeric.get(request.node.callspec.id, "domain error: "))
+    assert proc.stderr.startswith(expected.get(request.node.callspec.id, "domain error: "))
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

@@ -6,9 +6,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from oracles import brute_effective_field, brute_z, graph_tuple
+from oracles import brute_effective_field, brute_z, cycle_z, graph_tuple
 from twospin import (CapacityError, DomainError, FieldedGraph, NumericError, Quad,
                      SpinParams, core, effective_field, graph_from_json, graph_to_json,
                      partition_and_field, partition_function)
@@ -682,6 +683,38 @@ def test_brute_oracle_agrees_with_exact_mode():
     z = brute_z(fields, edges, Fraction(3, 2), Fraction(2), )
     g = FieldedGraph(fields, edges)
     assert partition_function(g, SpinParams(Fraction(3, 2), Fraction(2), 1)) == z
+
+
+def test_cycle_oracle_agrees_with_brute_force():
+    rng = random.Random(5)
+    for n in range(1, 9):  # n = 1 is a self-loop, n = 2 a double edge
+        fields = {f"c{i}": Fraction(rng.randint(1, 64), 16) for i in range(n)}
+        edges = [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]
+        assert cycle_z(Fraction(3, 4), Fraction(5, 2), list(fields.values())) == \
+            brute_z(fields, edges, Fraction(3, 4), Fraction(5, 2))
+
+
+def test_cycles_match_the_transfer_matrix_oracle():
+    # seeded cycles of 3-60 vertices; dyadic numbers, so the float run gets
+    # the same inputs.  Rational mode is ==.  Float log Z is within
+    # 2e-15 * max(1, |log Z|) of the oracle's, taken at 50 digits; the worst
+    # error seen on these cases is 8.6e-16 relative and 5.1e-14 absolute.
+    rng = random.Random(2718)
+    for _ in range(60):
+        n = rng.randint(3, 60)
+        beta, gamma = Fraction(rng.randint(0, 16), 8), Fraction(rng.randint(1, 32), 8)
+        fields = [Fraction(rng.randint(1, 64), 16) for _ in range(n)]
+        ids = [f"c{i}" for i in range(n)]
+        edges = [(ids[i], ids[(i + 1) % n]) for i in range(n)]
+        z = cycle_z(beta, gamma, fields)
+        exact = FieldedGraph(dict(zip(ids, fields)), edges)
+        assert partition_function(exact, SpinParams(beta, gamma, 1)) == z
+        (log_z,) = core._log_partition_float(
+            FieldedGraph({v: float(f) for v, f in zip(ids, fields)}, edges),
+            SpinParams(float(beta), float(gamma), 1.0), ())
+        with mpmath.workdps(50):
+            want = float(mpmath.log(mpmath.mpf(z.numerator) / z.denominator))
+        assert abs(log_z - want) <= 2e-15 * max(1.0, abs(want))
 
 
 def test_graph_helpers():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from gadget_helpers import gadget_from_json, random_gadget_tree
 from oracles import brute_effective_field, graph_tuple
 from twospin import (CapacityError, Comb, DaryTree, DomainError, FieldedGraph,
-                     RecursionParams, SpinParams, Star, certify,
+                     NumericError, RecursionParams, SpinParams, Star, certify,
                      construction_field_bound, contract_degree_one, decay_constants,
                      edge_ratio, effective_field, gadget_field, gadget_to_json,
                      materialize, solve_mu_star, star_convergence, tree_convergence,
@@ -156,6 +157,16 @@ def test_star_convergence_beta_one_decreases_to_zero():
     fields = [f for _, f, _ in rows]
     assert all(fields[i + 1] < fields[i] for i in range(80))
     assert fields[-1] < 0.5  # 20*(21/22)**80 ~ 0.484
+
+
+def test_star_convergence_refuses_a_subnormal_field():
+    # at (1, 2, 20) the product field * ratio leaves the normal range at
+    # w = 15293 and would then stick at 11 * 2**-1074 for every later w
+    rows = star_convergence(P, 15292)
+    assert rows[-1][1] >= sys.float_info.min
+    with pytest.raises(NumericError, match="^the star sweep's field underflows a float "
+                                           "at w = 15293$"):
+        star_convergence(P, 15293)
 
 
 def test_tree_convergence_bounds():

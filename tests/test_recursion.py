@@ -339,6 +339,9 @@ def test_hardness_thresholds_preconditions():
         hardness_thresholds(SpinParams(2.0, 2.0, 1.0))  # beta == gamma
     with pytest.raises(DomainError):
         hardness_thresholds(SpinParams(0.5, 1.5, 1.0))  # beta*gamma < 1
+    for params, d in [((1.5, 2.0, 1.0), -5), ((1.0, 2.0, 1.0), 0)]:
+        with pytest.raises(DomainError, match="^arity d must be a positive integer$"):
+            hardness_thresholds(SpinParams(*params), d=d)
 
 
 def test_min_arity_and_field_bound():
