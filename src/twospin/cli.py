@@ -10,6 +10,13 @@ the library's result objects, and ``_emit`` adds the schema and command keys.
 Files (--output, --emit-gadget, --materialize) are written before stdout.  An
 existing file is overwritten in place and cut to the new length; the write is
 neither atomic nor synced.
+
+A well-formed argv is read straight from ``COMMANDS`` (`_read_argv`).
+argparse builds its parser only for help and for the argvs that reader
+refuses: an empty argv, an unknown command, -h/--help, an unknown or
+abbreviated flag, --flag=value, a value starting with "-" (--mu -1), a value
+its type or choices refuse, a missing required flag.  So help text, usage
+errors and exit codes are argparse's.
 """
 
 from __future__ import annotations
@@ -354,7 +361,8 @@ COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one.
+    """The parser, built on the first call and shared by every later one;
+    `main` calls it only for an argv `_read_argv` refuses.
 
     Each ``parse_args`` returns a fresh namespace and help is formatted when
     printed, so sharing it changes no output.  ``add_argument`` leaves a help
@@ -377,6 +385,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: list):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read from
+    ``COMMANDS`` without argparse, or None for an argv it leaves to argparse.
+
+    It reads ``<command> (--flag value | --switch)...``: a ``COMMANDS`` name,
+    then exact flags of its row, each but a ``store_true`` one followed by a
+    value that does not start with ``-``.  Every occurrence is converted by
+    its type and checked against its choices, in order, as argparse does; the
+    last one wins, and a flag not given takes its default.  Any other argv,
+    the forms the module docstring lists, returns None.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, _, flags = COMMANDS[argv[0]]
+    given, i, n = {}, 1, len(argv)
+    while i < n:
+        spec = flags.get(argv[i])
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[argv[i]], i = True, i + 1
+            continue
+        text = argv[i + 1] if i + 1 < n else None
+        if type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[argv[i]], i = value, i + 2
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, spec in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False if spec.get("action") else None)
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 # library errors -> (stderr label, exit code); the first matching class wins
 _EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
          InvariantViolation: ("invariant violation", 2), CapacityError: ("capacity error", 3)}
@@ -385,16 +437,23 @@ _EXIT = {DomainError: ("domain error", 2), NumericError: ("numeric error", 2),
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
+    ``argv`` (``sys.argv[1:]`` when None) is read from ``COMMANDS`` when it
+    is well formed; any other argv is parsed by argparse, whose parser is
+    built on first use (see the module docstring).
+
     The cyclic garbage collector is paused for the command and then set back
     to its earlier state: a graph-sized command would otherwise spend about a
     tenth of its time walking live containers that are never garbage.
     Commands create no reference cycles, so reference counting still frees
     everything a command drops.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT) as exc:
         label, code = next(v for cls, v in _EXIT.items() if isinstance(exc, cls))

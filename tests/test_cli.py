@@ -15,13 +15,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twospin
 from gadget_helpers import gadget_from_json
 from twospin import (FieldedGraph, NumericError, RecursionParams, SpinParams, core,
                      decay_constants, effective_field, gadget_field, graph_from_json,
                      is_exact, partition_function, solve_mu_star)
-from twospin.cli import main
+from twospin.cli import COMMANDS, _read_argv, build_parser, finite_float, main
 from twospin.gadgets import DEPTH_LIMIT
 from twospin.serialize import exact_str
 
@@ -1196,8 +1198,11 @@ def test_reduction_float_range_is_a_numeric_error(tmp_path, capsys, doc, flags, 
 
 # One process, every subcommand, interleaved so that a flag set by one call is
 # left at its default by a later one; with usage errors, --help and domain
-# errors among them.  eval reads --mu if the namespace has one, so a value
-# leaking from the reduce call before it would fail the eval.
+# errors among them, and argvs on both sides of the table reader's boundary
+# (``--ell=1``, the abbreviation ``--bet``, a value starting with ``-``, a
+# refused choice before a valid one, a repeated valid flag).  eval reads --mu
+# if the namespace has one, so a value leaking from the reduce call before it
+# would fail the eval.
 SHARED_PARSER_ARGVS = [
     "thresholds --beta 1 --gamma 2 --d 3",
     "eval --input {k2} --mode rational --enum-limit 5",
@@ -1209,23 +1214,31 @@ SHARED_PARSER_ARGVS = [
     "sweep --help",
     "sweep --kind star --beta 1 --gamma 2 --mu 20 --w-max 3 --output {out}",
     "construct --beta 0.9 --gamma 2 --mu 20 --d 2 --ell 1 --target 7.5",
+    "construct --beta 0.9 --gamma 2 --mu 20 --d 2 --ell=1 --target 7.5",
+    "fixpoint --bet 1 --gamma 2 --mu 20 --d 1",
     "fixpoint --beta 1 --gamma 2 --mu 20 --d 1",
+    "reduce --kind x --kind contract --input {k2} --mu 2",
+    "reduce --kind ising --kind contract --input {k2} --mu 2 --mu 3",
     "reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100",
     "frobnicate",
 ]
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    """In-process calls on the one shared parser match fresh processes byte for byte."""
+    """In-process calls match fresh processes byte for byte.  The parser is
+    built on the first argv the table reader refuses and reused for every
+    later one; an argv the reader accepts never touches it."""
     import twospin.cli as cli_mod
     files = {"k2": write_doc(tmp_path, dict(K2_DOC, output="u"), name="k2.json"),
              "out": str(tmp_path / "out.csv")}
     env = dict(_subprocess_env(), COLUMNS="100")
     monkeypatch.setenv("COLUMNS", "100")
+    argvs = [line.format(**files).split() for line in SHARED_PARSER_ARGVS]
+    refused = [cli_mod._read_argv(argv) is None for argv in argvs]
+    assert 0 < sum(refused) < len(argvs)
     cli_mod.build_parser.cache_clear()
     seen = set()
-    for line in SHARED_PARSER_ARGVS:
-        argv = line.format(**files).split()
+    for k, argv in enumerate(argvs):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -1233,11 +1246,132 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
         out, err = capsys.readouterr()
         proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
                               capture_output=True, text=True, env=env)
-        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), line
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
         seen.add(code)
+        assert cli_mod.build_parser.cache_info().misses == any(refused[:k + 1]), argv
     assert seen == {0, 2}
     info = cli_mod.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(SHARED_PARSER_ARGVS) - 1)
+    assert (info.misses, info.hits) == (1, sum(refused) - 1)
+
+
+# flag texts by type: ones the type accepts, then ones it refuses
+READER_TEXTS = {
+    finite_float: (["1", "0.5", "20", "1e300", " 2.5", "1_0.5", "2E-3"],
+                   ["inf", "nan", "Infinity", "1e400", "abc", "", "0x10"]),
+    int: (["0", "3", "12", "1_0", " 7", "\u0663"], ["1.5", "abc", "", "1e3", "inf"]),
+    str: (["g.json", "x", "", "a=b", "1", "float", "contract"], []),
+}
+# texts starting with "-": left to argparse, which takes some as values
+READER_DASHED = ["-1", "-0.5", "-inf", "-", "--", "--beta", "-h"]
+
+
+def _reader_texts(spec):
+    """(accepted, refused) texts of one flag."""
+    if "choices" in spec:
+        return list(spec["choices"]), ["x", "Float", "", "star " + spec["choices"][0]]
+    return READER_TEXTS[spec.get("type", str)]
+
+
+def _given(flag, spec, text):
+    return [flag] if spec.get("action") == "store_true" else [flag, text]
+
+
+@st.composite
+def reader_argvs(draw):
+    """An argv of one COMMANDS row: its required flags and some optional ones
+    with accepted values, in any order, then up to three changes that argparse
+    reads otherwise or refuses."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    flags = COMMANDS[name][3]
+    groups = [_given(flag, spec, draw(st.sampled_from(_reader_texts(spec)[0])))
+              for flag, spec in flags.items()
+              if spec.get("required") or draw(st.integers(0, 3)) == 0]
+    groups = list(draw(st.permutations(groups)))
+    flag = draw(st.sampled_from(list(flags)))
+    spec = flags[flag]
+    good, bad = _reader_texts(spec)
+    choices = [f for f, sp in flags.items() if "choices" in sp]
+    for change in draw(st.lists(st.sampled_from(
+            ["repeat", "refused", "dashed", "equals", "abbrev", "help", "stray", "last",
+             "choice", "drop", "command"]), max_size=3)):
+        extra = None
+        if change == "choice" and choices:
+            choice = draw(st.sampled_from(choices))
+            extra = [choice, draw(st.sampled_from(_reader_texts(flags[choice])[1]))]
+        elif change == "repeat":
+            extra = _given(flag, spec, draw(st.sampled_from(good)))
+        elif change == "refused" and bad:
+            extra = _given(flag, spec, draw(st.sampled_from(bad)))
+        elif change == "dashed":
+            extra = [flag, draw(st.sampled_from(READER_DASHED))]
+        elif change == "equals":
+            extra = [f"{flag}={draw(st.sampled_from(good))}"]
+        elif change == "abbrev":
+            extra = _given(flag[:draw(st.integers(2, len(flag) - 1))], spec,
+                           draw(st.sampled_from(good)))
+        elif change == "help":
+            extra = [draw(st.sampled_from(["-h", "--help"]))]
+        elif change == "stray":
+            extra = [draw(st.sampled_from(["x", "1", "--frob", "-b", name]))]
+        elif change == "last" and spec.get("action") != "store_true":
+            groups.append([flag])  # a flag with no value after it
+        elif change == "drop" and groups:
+            groups.pop(draw(st.integers(0, len(groups) - 1)))
+        elif change == "command":
+            name = draw(st.sampled_from(["frobnicate", name[:-1], name.upper(), "-h", ""]))
+        if extra is not None:
+            groups.insert(draw(st.integers(0, len(groups))), extra)
+    argv = [name] + [token for group in groups for token in group]
+    return argv if name or draw(st.booleans()) else []
+
+
+def _argparse_namespace(argv):
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"the reader accepts what argparse refuses: {argv}")
+
+
+READER_AGREES = settings(max_examples=1000, deadline=None)
+
+
+@READER_AGREES
+@given(argv=reader_argvs())
+@example(argv=["reduce", "--kind", "x", "--kind", "contract", "--input", "g.json"])
+@example(argv=["sweep", "--kind", "star", "--d", "x", "--d", "3"])
+@example(argv=["eval", "--input", "g.json", "--mode", "exact"])
+@example(argv=["sweep", "--kind", "tree", "--kind", "trees"])
+@example(argv=["fixpoint", "--beta", "1", "--gamma", "2", "--mu", "20"])
+@example(argv=["reduce", "--input", "g.json", "--no-verify"])
+@example(argv=["thresholds", "--beta", "1", "--gamma", "inf"])
+def test_table_reader_agrees_with_argparse(argv):
+    """The reader returns None or the namespace argparse returns."""
+    args = _read_argv(argv)
+    if args is not None:
+        assert vars(args) == _argparse_namespace(argv)
+
+
+READER_ACCEPTS = [
+    "thresholds --beta 1 --gamma 2",
+    "thresholds --beta 1 --gamma 2 --d 3 --d 4 --output o.json",
+    "fixpoint --beta 1 --gamma 2 --mu 20 --d 1 --tol 1e-6",
+    "construct --d 2 --ell 6 --target 7.5 --beta 0.9 --gamma 2 --mu 20 --emit-gadget g.json "
+    "--materialize m.json --materialize-limit 1_000 --output o.json",
+    "eval --input g.json --mode rational --enum-limit 5 --beta 1/2 --gamma 3",
+    "reduce --kind selfloop --beta 2 --gamma 3 --mu 3 --target 5 --m 100 --no-verify",
+    "reduce --kind ising --kind contract --input g.json --mu 2 --mu 3 --no-verify --no-verify",
+    "reduce --kind bipartite --input g.json --mu-prime 1.1 --left u,v --mode rational",
+    "sweep --kind construct-error --beta 1 --gamma 2 --mu 20 --d 1 --ell-max 3 --targets 4",
+    "sweep --kind uniqueness --steps 3 --beta-min 0.1 --beta-max 0.2 --delta-reg 3",
+]
+
+
+@pytest.mark.parametrize("line", READER_ACCEPTS)
+def test_table_reader_accepts_well_formed_argvs(line):
+    argv = line.split()
+    args = _read_argv(argv)
+    assert args is not None
+    assert vars(args) == _argparse_namespace(argv)
 
 
 NUMPY_OFF_IMPORT_PATH = """
