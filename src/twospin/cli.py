@@ -161,11 +161,9 @@ def cmd_eval(args) -> int:
 
 def cmd_fixpoint(args) -> int:
     rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
-    mu_star = solve_mu_star(rp, rel_tol=args.tol)  # raises when outside the bracket
-    consts = decay_constants(rp, rel_tol=args.tol)
+    consts = decay_constants(rp, solve_mu_star(rp, rel_tol=args.tol))  # raises outside the bracket
     lower, upper = mu_star_bracket(rp)
-    _emit(args, {**consts._asdict(), "mu_star": mu_star,
-                 "bracket": {"lower": lower, "upper": upper, "ok": True}})
+    _emit(args, {**consts._asdict(), "bracket": {"lower": lower, "upper": upper, "ok": True}})
     return 0
 
 
@@ -272,7 +270,7 @@ def cmd_sweep(args) -> int:
         rows = star_convergence(SpinParams(args.beta, args.gamma, args.mu), args.w_max)
     else:
         rp = RecursionParams(SpinParams(args.beta, args.gamma, args.mu), args.d)
-        consts = decay_constants(rp)
+        consts = decay_constants(rp, solve_mu_star(rp))
         if args.kind == "tree":
             rows = [(t, field, consts.mu_star, field / consts.mu_star, bound)
                     for t, field, bound in tree_convergence(rp, args.t_max, consts)]

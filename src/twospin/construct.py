@@ -37,13 +37,14 @@ computed and the stricter one used.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .errors import CapacityError, DomainError, InvariantViolation, NumericError, in_float_range
 from .gadgets import (DEPTH_LIMIT, MATERIALIZE_LIMIT, Comb, DaryTree, GadgetTree, Star,
                       dary_size, gadget_field)
-from .recursion import (DecayConstants, RecursionParams, construction_field_bound,
-                        decay_constants, edge_ratio, invert_edge_ratio, least_integer)
+from .recursion import (DecayConstants, RecursionParams, construction_field_bound, decay_constants,
+                        edge_ratio, invert_edge_ratio, least_integer, solve_mu_star)
 
 _REL_SLACK = 1e-9
 _SINGLETON = Star(0)
@@ -102,12 +103,15 @@ def _power_bracket(base: float, ratio: float, target: float) -> int:
 
 
 def _branch_star_w(ell: int, rp: RecursionParams, C: DecayConstants) -> int:
-    """Star length whose field is at most alpha**ell / d."""
+    """Star length whose field is at most alpha**ell / d; a cap below the
+    normal float range, which deep levels reach, is compared in logs."""
     p = rp.params
     mu = float(p.mu)
     cap = C.alpha ** ell / rp.d
     hmu = edge_ratio(mu, p)
-    w = least_integer(lambda w: mu * hmu ** w <= cap, math.log(cap / mu) / math.log(hmu), 0)
+    ln_hmu, ln_cap_mu = math.log(hmu), ell * math.log(C.alpha) - math.log(rp.d) - math.log(mu)
+    w = least_integer(lambda w: w * ln_hmu <= ln_cap_mu if cap < sys.float_info.min
+                      else mu * hmu ** w <= cap, ln_cap_mu / ln_hmu, 0)
     if p.beta < 1:
         w_pub = math.floor((ell * math.log(C.alpha) - math.log(rp.d * mu))
                            / math.log(p.beta)) + 1
@@ -152,37 +156,31 @@ class Schedule:
     """The target-independent data of the construction at (rp, C), and
     each residual's level step.
 
-    The edge ratios and the d-ary field table are plain attributes; the
-    residual windows and branch thresholds are computed at the first level
-    that reads them, and each per-level helper (`_branch_star_w`,
-    `_branch_tree_t`, `_cutoff_delta`, `_cutoff_star_w`) the first time a
-    level needs it, so a helper that refuses its inputs raises where an
-    unshared construction would.  `_residual_step` is memoised by its
-    residual target.  A schedule lives for one command: each `certify`
-    builds its own unless one is passed, as a sweep does.
+    The edge ratios, the residual windows of i = 1..d, the star branch's
+    largest residual for i = 1..d-1 and the d-ary field table are plain
+    attributes, which cannot raise: each is a power below 1 of finite
+    floats.  Each per-level helper (`_branch_star_w`, `_branch_tree_t`,
+    `_cutoff_delta`, `_cutoff_star_w`) runs the first time a level needs
+    it, so a helper that refuses its inputs raises where an unshared
+    construction would.  `_residual_step` is memoised by its residual
+    target.  A schedule lives for one command: each `certify` builds its
+    own unless one is passed, as a sweep does.
     """
 
-    __slots__ = ("rp", "C", "mu", "hmu", "h_star", "h_zero", "levels", "_bounds", "_memo")
+    __slots__ = ("rp", "C", "mu", "hmu", "h_star", "h_zero", "windows", "thresholds",
+                 "levels", "_memo")
 
     def __init__(self, rp: RecursionParams, C: DecayConstants):
-        p = rp.params
+        p, d = rp.params, rp.d
         self.rp, self.C = rp, C
         self.mu = float(p.mu)
         self.hmu = edge_ratio(self.mu, p)
         self.h_star = edge_ratio(C.mu_star, p)
         self.h_zero = edge_ratio(0, p)
+        self.windows = [_residual_window(rp, C.mu_star, i) for i in range(1, d + 1)]
+        self.thresholds = [self.mu * self.h_star * self.h_zero ** (d - i) for i in range(1, d)]
         self.levels = {}  # gadget_field's d-ary level table
-        self._bounds = None
         self._memo = {}
-
-    def bounds(self) -> tuple[list, list]:
-        """(the residual window of each i = 1..d, and for i = 1..d-1 the
-        largest residual that takes the star branch)."""
-        if self._bounds is None:
-            rp, d = self.rp, self.rp.d
-            self._bounds = ([_residual_window(rp, self.C.mu_star, i) for i in range(1, d + 1)],
-                            [self.mu * self.h_star * self.h_zero ** (d - i) for i in range(1, d)])
-        return self._bounds
 
     def once(self, helper, key, *args):
         """helper(*args) for key, a level or a residual target, computed the
@@ -222,16 +220,15 @@ def _residual_step(target: float, s: Schedule) -> tuple[int, tuple, tuple]:
         return k, (), ()
     mu_i = target / s.hmu ** k
     mu_values, ys = [], []
-    windows, thresholds = s.bounds()
     for i in range(1, d + 1):
         # the loop invariant, absorbing float drift at the closed end
-        lo, hi = windows[i - 1]
+        lo, hi = s.windows[i - 1]
         if hi < mu_i <= hi * (1 + _REL_SLACK):
             mu_i = hi
         mu_values.append(mu_i)
         if i == d or not lo < mu_i <= hi:
             break
-        y = 0.0 if thresholds[i - 1] >= mu_i else C.mu_star
+        y = 0.0 if s.thresholds[i - 1] >= mu_i else C.mu_star
         ys.append(y)
         mu_i = mu_i / (s.h_zero if y == 0.0 else s.h_star)
     return k, tuple(mu_values), tuple(ys)
@@ -257,7 +254,7 @@ def _construct(ell: int, target: float, s: Schedule) -> tuple[GadgetTree, list, 
             kids.append(child)
             size += child_size
         i, mu_i = len(mu_values), mu_values[-1]  # the step stops at a refused residual
-        lo, hi = s.bounds()[0][i - 1]
+        lo, hi = s.windows[i - 1]
         if not lo < mu_i <= hi:
             raise InvariantViolation(f"level ell={ell} i={i}: residual {mu_i} "
                                      f"left the solvable window ({lo}, {hi}]")
@@ -304,7 +301,7 @@ def _check_depth(ell: int) -> None:
 
 
 def _prepare(ell: int, target: float, rp: RecursionParams,
-             constants: Optional[DecayConstants]) -> tuple[float, DecayConstants]:
+             schedule: Optional[Schedule]) -> tuple[float, Schedule]:
     _check_depth(ell)
     bound = in_float_range("the construction's field bound", construction_field_bound,
                            rp.params, rp.d)
@@ -312,7 +309,8 @@ def _prepare(ell: int, target: float, rp: RecursionParams,
         raise DomainError(
             f"uniform field mu={rp.params.mu} must exceed {bound} for the "
             "construction's solvability invariant")
-    C = constants if constants is not None else decay_constants(rp)
+    schedule = schedule or Schedule(rp, decay_constants(rp, solve_mu_star(rp)))
+    C = schedule.C
     if not target > 0:
         raise DomainError("target field must be positive")
     if target > C.mu_star:
@@ -321,7 +319,7 @@ def _prepare(ell: int, target: float, rp: RecursionParams,
         else:
             raise DomainError(
                 f"target {target} exceeds the largest realisable field {C.mu_star}")
-    return target, C
+    return target, schedule
 
 
 def error_bound(ell: int, p_gamma: float, alpha: float) -> float:
@@ -330,24 +328,20 @@ def error_bound(ell: int, p_gamma: float, alpha: float) -> float:
 
 
 def certify(ell: int, target: float, rp: RecursionParams,
-            schedule: Schedule | DecayConstants | None = None) -> ConstructReport:
+            schedule: Optional[Schedule] = None) -> ConstructReport:
     """Run the construction, evaluate the gadget, report error vs bound.
 
     The field is `gadget_field`'s product recursion in the parameters'
     number type, so on float parameters a float, not a proved enclosure
     (ROADMAP item 4); the size is counted by the construction loop.
 
-    schedule is a `Schedule` built for rp, shared by every call of one
-    command, or the decay constants of rp (None: computed here), from which
-    a schedule for this call alone is built.
+    schedule is a `Schedule` built for rp and shared by every call of one
+    command, as a sweep's rows share one; None builds one for this call
+    alone, from `solve_mu_star` of rp.
     """
-    if isinstance(schedule, Schedule):
-        if schedule.rp != rp:
-            raise DomainError("the construction schedule was built for other parameters")
-        target, C = _prepare(ell, target, rp, schedule.C)
-    else:
-        target, C = _prepare(ell, target, rp, schedule)
-        schedule = Schedule(rp, C)
+    if schedule is not None and schedule.rp != rp:
+        raise DomainError("the construction schedule was built for other parameters")
+    target, schedule = _prepare(ell, target, rp, schedule)
     tree, trace, size = _construct(ell, target, schedule)
     achieved = gadget_field(tree, rp.params, schedule.levels)
     return ConstructReport(
@@ -355,7 +349,7 @@ def certify(ell: int, target: float, rp: RecursionParams,
         target=target,
         achieved=achieved,
         log_error=math.log(achieved / target),
-        bound=error_bound(ell, float(rp.params.gamma), C.alpha),
+        bound=error_bound(ell, float(rp.params.gamma), schedule.C.alpha),
         size=size,
         depth=ell,
         trace=tuple(trace),

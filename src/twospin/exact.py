@@ -16,6 +16,7 @@ and b == d as soon as m is not a square.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 _RationalLike = (int, Fraction)
@@ -218,10 +219,10 @@ class Quad:
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, float):  # as Fraction compares: the float's exact value
+            return math.isfinite(other) and self == Fraction(other)
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, float):
-                return float(self) == other
             return NotImplemented
         return (self.a, self.b, self.m) == (o.a, o.b, o.m)  # b == 0 implies m == 1
 
@@ -230,26 +231,27 @@ class Quad:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
-    def _cmp(self, other) -> int:
+    def _cmp(self, other, op) -> bool:
+        if isinstance(other, float):  # as in __eq__; nan and +-inf as with a Fraction
+            if not math.isfinite(other):
+                return op(0.0, other)
+            other = Fraction(other)
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, float):
-                v = float(self)
-                return (v > other) - (v < other)
             raise TypeError(f"cannot compare Quad with {type(other).__name__}")
-        return (self - o)._sign()
+        return op((self - o)._sign(), 0)
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other, operator.lt)
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other, operator.le)
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other, operator.gt)
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other, operator.ge)
 
     # -- conversions ---------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import NamedTuple, Union
 
 from .core import FieldedGraph, SpinParams
 from .errors import CapacityError, DomainError, NumericError, in_float_range
-from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio
+from .recursion import DecayConstants, RecursionParams, decay_constants, edge_ratio, solve_mu_star
 
 MATERIALIZE_LIMIT = 10 ** 6
 # Deepest construction (`construct.certify`'s ell).  The construction itself
@@ -225,7 +225,7 @@ def tree_convergence(rp: RecursionParams, t_max: int,
                      ) -> list[tuple[int, float, float]]:
     """(t, field, exp(c**t * iota)) for t = 0..t_max; field/mu_star obeys the
     bound, and a bound beyond the float range is a NumericError."""
-    C = constants if constants is not None else decay_constants(rp)
+    C = constants if constants is not None else decay_constants(rp, solve_mu_star(rp))
     out = []
     field = rp.params.mu
     for t in range(t_max + 1):

@@ -20,6 +20,7 @@ the threshold helpers evaluate the closed-form degree/field bounds.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .core import SpinParams
@@ -39,7 +40,7 @@ class RecursionParams(_RecursionParams):
     (so the level map has a nontrivial largest fixed point); systems with
     beta > 1 are handled by the self-loop reduction instead.  A d at which
     gamma**d, the largest power the recursion forms, overflows a float is a
-    NumericError.
+    NumericError, and so is a mu + gamma, its largest sum, that overflows.
     """
 
     __slots__ = ()
@@ -53,6 +54,7 @@ class RecursionParams(_RecursionParams):
         if d < 1:
             raise DomainError("arity d must be a positive integer")
         in_float_range("gamma**d", pow, p.gamma, d)  # the largest power the recursion forms
+        in_float_range("mu + gamma", lambda: p.mu + p.gamma)  # and its largest sum
         if not p.beta * (p.beta * p.gamma) ** d > 1:
             raise DomainError("need beta*(beta*gamma)**d > 1")
         return super().__new__(cls, params, d)
@@ -122,7 +124,7 @@ def least_integer(holds, guess: float, lo) -> int:
     return k
 
 
-def fixed_point_iterates(rp: RecursionParams, rel_tol: float = 1e-12) -> list:
+def fixed_point_iterates(rp: RecursionParams, rel_tol: float) -> list:
     """Iterates x0 = mu, x_{i+1} = level_map(x_i), run to relative stagnation.
 
     The sequence decreases monotonically onto the largest fixed point, so the
@@ -171,22 +173,21 @@ def _bracketed(mu_star, rp: RecursionParams):
     return mu_star
 
 
-def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstants:
-    """Concrete (alpha, c, eta, iota, t0) with a certified contraction window.
+def decay_constants(rp: RecursionParams, mu_star) -> DecayConstants:
+    """Concrete (alpha, c, eta, iota, t0) with a certified contraction window
+    around mu_star, the fixed point `solve_mu_star` returns for rp.
 
     c is placed halfway between the contraction at the fixed point and 1; eta
     shrinks by halving until contraction_rate <= c on the whole window.  The
     rate's derivative has numerator gamma - beta*x**2, so the rate rises to
     its peak at sqrt(gamma/beta) and falls after it: its maximum over the
     window is its value at that peak clamped into the window.  t0 counts
-    mu-started iterations until the window is entered; iota starts at
-    max(ln mu, eta * c**-t0) and is inflated if any iterate up to t0 would
-    violate ln(x_t/mu_star) <= c**t * iota, so the published bound holds for
-    every depth.  rel_tol is the fixed-point iteration's, as in `solve_mu_star`.
+    mu-started iterations until the window is entered, and no more are run;
+    iota starts at max(ln mu, eta * c**-t0) and is inflated if any iterate up
+    to t0 would violate ln(x_t/mu_star) <= c**t * iota, so the published
+    bound holds for every depth.
     """
     p = rp.params
-    iterates = fixed_point_iterates(rp, rel_tol)
-    mu_star = _bracketed(iterates[-1], rp)
     alpha = contraction_bound(p)
     g_star = contraction_rate(mu_star, rp)
     if not 0 < g_star < 1:
@@ -201,13 +202,16 @@ def decay_constants(rp: RecursionParams, rel_tol: float = 1e-12) -> DecayConstan
         return contraction_rate(min(max(peak, mu_star - eta), mu_star + eta), rp) <= c
     eta = mu_star / 2 ** least_integer(certified, 1, 1)
 
-    t0 = next((t for t, x in enumerate(iterates) if x < mu_star + eta), None)
-    if t0 is None:
-        raise NumericError("iteration never entered the contraction window")
+    iterates = [p.mu]  # x_0 .. x_t0, the last one inside the window
+    while not iterates[-1] < mu_star + eta:
+        if len(iterates) > 10 ** 6:  # the step cap of fixed_point_iterates
+            raise NumericError("iteration never entered the contraction window")
+        iterates.append(level_map(iterates[-1], rp))
+    t0 = len(iterates) - 1
 
     iota = max(math.log(float(p.mu)), eta * c ** (-t0))
-    for t in range(t0 + 1):
-        gap = math.log(iterates[t] / mu_star)
+    for t, x in enumerate(iterates):
+        gap = math.log(x / mu_star)
         if gap > c ** t * iota:
             iota = gap / c ** t
     return DecayConstants(alpha=alpha, c=c, eta=eta, iota=iota, t0=t0,
@@ -300,9 +304,10 @@ def hardness_thresholds(p: SpinParams, d: int | None = None) -> HardnessThreshol
         raise DomainError("requires a ferromagnetic system (beta*gamma > 1)")
     if d is not None and d < 1:
         raise DomainError("arity d must be a positive integer")
-    s = math.sqrt(beta * gamma)
-    # an s of inf makes the ratio nan, which in_float_range also refuses
-    Delta = math.floor(in_float_range("Delta", lambda: (s + 1) / (s - 1))) + 1
+    # s**2 = P/Q exactly, so floor((s+1)/(s-1)) = floor((P + Q + sqrt(4PQ))/(P - Q));
+    # only a gamma of inf, which SpinParams accepts, has no ratio
+    P, Q = in_float_range("Delta", lambda: (Fraction(beta) * Fraction(gamma)).as_integer_ratio())
+    Delta = (P + Q + math.isqrt(4 * P * Q)) // (P - Q) + 1
     if d is None:
         d = min_arity(p)
     local = in_float_range("mu_bound_local_fields", lambda: (gamma / beta) ** (Delta / 2))

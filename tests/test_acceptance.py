@@ -108,7 +108,7 @@ def test_criterion_3_fixed_point_and_convergence_bounds():
     mp.dps = 80
     for beta, gamma, mu, d in grid:
         rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-        C = decay_constants(rp)
+        C = decay_constants(rp, solve_mu_star(rp))
         assert mu / gamma ** d < C.mu_star < beta ** d * mu
 
         rows = star_convergence(rp.params, 20)
@@ -135,12 +135,12 @@ def test_criterion_4_construction_error_certificates():
     sets = [(1.0, 2.0, 20.0, 1), (0.8, 2.0, 40.0, 2), (0.9, 3.0, 30.0, 1)]
     for beta, gamma, mu, d in sets:
         rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-        C = decay_constants(rp)
+        C = decay_constants(rp, solve_mu_star(rp))
         max_size = {}
         for ell in range(9):
             sizes = []
             for j in range(1, 101):
-                rep = certify(ell, C.mu_star * j / 100, rp, C)
+                rep = certify(ell, C.mu_star * j / 100, rp)
                 assert abs(rep.log_error) <= rep.bound, (beta, gamma, mu, d, ell, j)
                 sizes.append(rep.size)
             max_size[ell] = max(sizes)

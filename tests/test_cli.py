@@ -181,19 +181,30 @@ def test_fixpoint(capsys):
     assert doc["alpha"] == pytest.approx(0.171572875254, abs=1e-11)
 
 
-def test_fixpoint_constants_follow_its_tol(capsys):
-    # mu_star and the decay constants come from one iteration run to --tol,
-    # so eta is mu_star halved j times
+def test_fixpoint_constants_follow_its_tol(monkeypatch, capsys):
+    # the decay constants are taken around the one fixed point solved to
+    # --tol, so eta is that mu_star halved j times
+    import twospin.recursion as recursion
+    calls = []
+    iterate = recursion.fixed_point_iterates
+
+    def counted(*args):
+        calls.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(recursion, "fixed_point_iterates", counted)
     code, out = run(capsys, ["fixpoint", "--beta", "1", "--gamma", "2",
                              "--mu", "20", "--d", "1", "--tol", "1e-3"])
     assert code == 0
+    rp = RecursionParams(SpinParams(1, 2, 20), 1)
+    assert calls == [(rp, 1e-3)]
     doc = json.loads(out)
     ratio = doc["mu_star"] / doc["eta"]  # both printed to 12 digits
     assert ratio == pytest.approx(2 ** round(math.log2(ratio)), rel=1e-11)
-    rp = RecursionParams(SpinParams(1, 2, 20), 1)
-    consts = decay_constants(rp, rel_tol=1e-3)
-    assert consts.mu_star == solve_mu_star(rp, rel_tol=1e-3)
-    assert math.frexp(consts.mu_star / consts.eta)[0] == 0.5
+    mu_star = solve_mu_star(rp, rel_tol=1e-3)
+    assert doc["mu_star"] == pytest.approx(mu_star, rel=1e-11)
+    assert doc["mu_star"] != pytest.approx(solve_mu_star(rp), rel=1e-11)
+    assert math.frexp(mu_star / decay_constants(rp, mu_star).eta)[0] == 0.5
 
 
 def test_fixpoint_rejects_non_ferromagnetic(capsys):
@@ -224,7 +235,6 @@ def test_float_flags_refuse_non_finite_values(capsys, argv, value):
     ("thresholds --beta 0.5 --gamma 2.0001", "mu_bound_local_fields"),
     ("thresholds --beta 1e-300 --gamma 1.0001e300", "mu_bound_local_fields"),
     ("thresholds --beta 1 --gamma 2 --d 2000", "mu_bound_uniform"),
-    ("thresholds --beta 1 --gamma 1.0000000000000002", "Delta"),
     ("sweep --kind uniqueness --beta-min 1e-200 --beta-max 2e-200 --steps 1",
      "the uniqueness threshold mu_c"),
     ("fixpoint --beta 1 --gamma 2 --mu 20 --d 100000", "gamma**d"),
@@ -234,6 +244,10 @@ def test_float_flags_refuse_non_finite_values(capsys, argv, value):
     # gamma**d * (beta*gamma - 1)/beta = 1e300 * 1e290 / 1e-10
     ("construct --beta 1e-10 --gamma 1e300 --mu 1e300 --d 1 --ell 1 --target 5",
      "the construction's field bound"),
+    # x + gamma would overflow in the level map's first step, making it 0.0
+    ("fixpoint --beta 0.2207132808549458 --gamma 1e308 --mu 1e308 --d 1", "mu + gamma"),
+    ("sweep --kind construct-error --beta 0.2207132808549458 --gamma 1e308 --mu 1e308 "
+     "--d 1 --ell-max 0 --targets 2", "mu + gamma"),
 ])
 def test_threshold_overflow_is_a_numeric_error(capsys, argv, quantity):
     code = main(argv.split())
@@ -314,6 +328,25 @@ def test_thresholds(capsys):
     assert "16" in doc["note"] and "12" in doc["note"]
     code, out = run(capsys, ["thresholds", "--beta", "2", "--gamma", "3"])
     assert json.loads(out)["mu_bound_uniform_large_beta"] == 2.0
+
+
+@pytest.mark.parametrize("beta, gamma, delta", [
+    ("0.8", "2", 9), ("0.9", "1.5", 14),
+    # beta*gamma is at most (11/9)**2, which the float formula misses by an ulp
+    ("1", "1.4938271604938271", 11),
+    # 0.9 * 10 exceeds 9 by 2.2e-16, so sqrt(beta*gamma) exceeds 3
+    ("0.9", "10", 2),
+    ("1", "1.0000000000000002", 18014398509481986),
+    ("2.206216874300683e+77", "1e308", 2),
+], ids=["bench-0.8-2", "bench-0.9-1.5", "ulp-below-11/9-squared",
+        "ulp-above-9", "sqrt-rounds-to-1", "product-overflows"])
+def test_thresholds_decides_delta_exactly(capsys, beta, gamma, delta):
+    # Delta = floor((s+1)/(s-1)) + 1, s = sqrt(beta*gamma), taken from the
+    # exact product of the two floats; neither a float sqrt nor an overflow
+    # of the product can move it
+    code, out = run(capsys, ["thresholds", "--beta", beta, "--gamma", gamma])
+    assert code == 0
+    assert json.loads(out)["Delta"] == delta
 
 
 def test_reduce_pipeline(tmp_path, capsys):
@@ -942,7 +975,6 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
     ["construct", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--ell", "1",
      "--target", "12", "--materialize", "{unwritable}"],
     ["fixpoint", "--beta", "1", "--gamma", "2", "--mu", "20", "--d", "1", "--tol", "-1"],
-    ["thresholds", "--beta", "2.206216874300683e+77", "--gamma", "1e308"],
     ["sweep", "--kind", "star", "--beta", "3", "--gamma", "4", "--mu", "1e300",
      "--w-max", "1000"],
     ["sweep", "--kind", "star", "--beta", "3", "--gamma", "4", "--mu", "1e300",
@@ -967,7 +999,7 @@ def test_import_loads_no_dataclasses_inspect_csv_or_numpy():
         "selfloop-mu-inf", "sweep-w-max-negative", "sweep-t-max-negative",
         "sweep-targets-negative", "sweep-ell-max-negative", "sweep-steps-negative",
         "unhashable-id", "output-unwritable", "emit-gadget-unwritable",
-        "materialize-unwritable", "fixpoint-tol-negative", "thresholds-delta-nan",
+        "materialize-unwritable", "fixpoint-tol-negative",
         "sweep-star-w-max-1000", "sweep-star-w-max-100", "sweep-tree-bound",
         "sweep-uniqueness-sliver", "construct-invariant-violation",
         "thresholds-d-negative", "thresholds-d-zero", "sweep-star-underflow"])
@@ -986,8 +1018,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, request, argv):
     proc = subprocess.run([sys.executable, "-m", "twospin", *argv],
                           capture_output=True, text=True, env=_subprocess_env())
     # a result beyond the float range is a numeric error that names the quantity
-    expected = {"thresholds-delta-nan": "numeric error: Delta overflows a float",
-               "sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
+    expected = {"sweep-star-w-max-1000": "numeric error: the star sweep's field overflows",
                "sweep-star-w-max-100": "numeric error: the star sweep's field overflows",
                "sweep-tree-bound": "numeric error: the tree sweep's ratio_bound overflows "
                                    "a float at t = 0",

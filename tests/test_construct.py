@@ -1,12 +1,13 @@
 """The depth-ell gadget construction and its error certification."""
 
+import json
 import math
 import random
 
 import pytest
 
 from twospin import (CapacityError, DecayConstants, DomainError, InvariantViolation,
-                     RecursionParams, SpinParams, Star, certify, construct,
+                     RecursionParams, SpinParams, Star, certify, cli, construct,
                      decay_constants, edge_ratio, gadget_field, invert_edge_ratio,
                      solve_mu_star)
 from twospin.construct import (_branch_star_w, _cutoff_delta, _cutoff_star_w,
@@ -14,18 +15,18 @@ from twospin.construct import (_branch_star_w, _cutoff_delta, _cutoff_star_w,
 from twospin.gadgets import DEPTH_LIMIT, MATERIALIZE_LIMIT
 
 RP = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
-C = decay_constants(RP)
+C = decay_constants(RP, solve_mu_star(RP))
 
 RP_D2 = RecursionParams(SpinParams(0.8, 2.0, 40.0), 2)
-C_D2 = decay_constants(RP_D2)
+C_D2 = decay_constants(RP_D2, solve_mu_star(RP_D2))
 
 # near-critical set: exercises both branch kinds and the cutoff
 RP_NC = RecursionParams(SpinParams(0.8, 1.4, 300.0), 2)
-C_NC = decay_constants(RP_NC)
+C_NC = decay_constants(RP_NC, solve_mu_star(RP_NC))
 
 
 def test_base_case_star_bracket():
-    rep = certify(0, 10.0, RP, C)
+    rep = certify(0, 10.0, RP)
     assert rep.gadget == Star(14)
     # 20*(21/22)^15 ~ 9.9536 < 10 <= 20*(21/22)^14 ~ 10.4276
     assert 20 * (21 / 22) ** 15 < 10.0 <= 20 * (21 / 22) ** 14
@@ -75,7 +76,7 @@ def test_check_invariant_boundaries():
 
 def test_target_mu_star_within_bound():
     for ell in range(7):
-        rep = certify(ell, C.mu_star, RP, C)
+        rep = certify(ell, C.mu_star, RP)
         assert abs(rep.log_error) <= rep.bound
 
 
@@ -84,7 +85,7 @@ def test_bound_holds_on_small_sweep():
     for rp, consts in ((RP, C), (RP_D2, C_D2)):
         for ell in range(5):
             for j in range(1, 26):
-                rep = certify(ell, consts.mu_star * j / 25, rp, consts)
+                rep = certify(ell, consts.mu_star * j / 25, rp)
                 assert abs(rep.log_error) <= rep.bound
 
 
@@ -92,7 +93,7 @@ def test_trace_invariant_holds_at_every_level():
     cases = [(RP, C, ell, frac) for ell in (1, 2, 3) for frac in (0.3, 0.6, 0.95)]
     cases += [(RP_D2, C_D2, 4, j / 25) for j in (7, 13, 25)]
     for rp, consts, ell, frac in cases:
-        rep = certify(ell, consts.mu_star * frac, rp, consts)
+        rep = certify(ell, consts.mu_star * frac, rp)
         for rec in rep.trace:
             if rec.terminal == "base-star":
                 continue
@@ -106,7 +107,7 @@ def test_trace_branch_condition_consistency():
     h_star = edge_ratio(C_D2.mu_star, p)
     h_zero = edge_ratio(0.0, p)
     for j in (5, 12, 19, 25):
-        rep = certify(5, C_D2.mu_star * j / 25, RP_D2, C_D2)
+        rep = certify(5, C_D2.mu_star * j / 25, RP_D2)
         for rec in rep.trace:
             for b in rec.branches:
                 took_star = b.y == 0.0
@@ -119,7 +120,7 @@ def test_per_step_substitution_slack():
     for rp, consts in ((RP_D2, C_D2), (RP_NC, C_NC)):
         p = rp.params
         for j in (4, 11, 23):
-            rep = certify(5, consts.mu_star * j / 25, rp, consts)
+            rep = certify(5, consts.mu_star * j / 25, rp)
             for rec in rep.trace:
                 budget = consts.alpha ** rec.ell / rp.d
                 for b in rec.branches:
@@ -131,7 +132,7 @@ def test_both_branch_kinds_fire_near_criticality():
     from twospin import Comb, DaryTree
     seen = set()
     for j in range(1, 41):
-        rep = certify(3, C_NC.mu_star * j / 40, RP_NC, C_NC)
+        rep = certify(3, C_NC.mu_star * j / 40, RP_NC)
         for rec in rep.trace:
             for b in rec.branches:
                 seen.add(type(b.gadget).__name__)
@@ -141,7 +142,7 @@ def test_both_branch_kinds_fire_near_criticality():
 def test_cutoff_branch_frozen_case():
     # located by a dense scan: this target drives the residual below delta at ell=1
     target = 136.968125740
-    rep = certify(1, target, RP_NC, C_NC)
+    rep = certify(1, target, RP_NC)
     rec = rep.trace[0]
     assert rec.terminal == "cutoff-star"
     delta = _cutoff_delta(1, RP_NC, C_NC)
@@ -157,7 +158,7 @@ def test_cutoff_branch_frozen_case():
 
 
 def test_recursive_case_residual_stays_in_range():
-    rep = certify(6, C.mu_star * 0.5, RP, C)
+    rep = certify(6, C.mu_star * 0.5, RP)
     for rec in rep.trace:
         if rec.mu_hat_prime is not None:
             assert 0 < rec.mu_hat_prime <= C.mu_star * (1 + 1e-12)
@@ -167,16 +168,16 @@ def test_recursive_case_residual_stays_in_range():
 
 
 def test_determinism():
-    assert certify(5, 11.3, RP, C) == certify(5, 11.3, RP, C)
+    assert certify(5, 11.3, RP) == certify(5, 11.3, RP)
 
 
 def test_construct_preconditions():
     with pytest.raises(DomainError):
-        certify(-1, 5.0, RP, C)
+        certify(-1, 5.0, RP)
     with pytest.raises(DomainError):
-        certify(3, 0.0, RP, C)
+        certify(3, 0.0, RP)
     with pytest.raises(DomainError):
-        certify(3, C.mu_star * 1.001, RP, C)
+        certify(3, C.mu_star * 1.001, RP)
     # mu below the solvable-range bound: 7.77 needed for (1, 2, d=1)
     with pytest.raises(DomainError):
         certify(2, 1.0, RecursionParams(SpinParams(1.0, 2.0, 5.0), 1))
@@ -186,7 +187,7 @@ def test_depth_beyond_the_limit_is_refused_before_building(monkeypatch):
     built = []
     monkeypatch.setattr(construct, "_construct", lambda *args: built.append(args))
     with pytest.raises(CapacityError, match=f"limit {DEPTH_LIMIT}$"):
-        certify(DEPTH_LIMIT + 1, 10.0, RP, C)
+        certify(DEPTH_LIMIT + 1, 10.0, RP)
     assert built == []
 
 
@@ -204,11 +205,11 @@ def test_residual_escape_raises_invariant_violation(monkeypatch):
     # and aborts, never continues, on one at the open bottom, below the
     # window or above it
     target = C.mu_star * 0.6
-    r = certify(1, target, RP, C).trace[0].mu_values[0]
+    r = certify(1, target, RP).trace[0].mu_values[0]
 
     def first_residual(window):
         monkeypatch.setattr(construct, "_residual_window", lambda rp, mu_star, i: window)
-        return certify(1, target, RP, C).trace[0].mu_values[0]
+        return certify(1, target, RP).trace[0].mu_values[0]
 
     assert first_residual((r / 2, r)) == r
     assert first_residual((r / 2, r / (1 + 1e-13))) == r / (1 + 1e-13)
@@ -217,13 +218,35 @@ def test_residual_escape_raises_invariant_violation(monkeypatch):
             first_residual(window)
 
 
+def test_a_deep_star_branch_compares_its_cap_in_logs(capsys):
+    # alpha**ell / d underflows to 0.0 from about ell = 230 at (0.8, 1.5, d = 3);
+    # the star branches of those levels still keep their field below the cap
+    argv = ["construct", "--beta", "0.8", "--gamma", "1.5", "--mu", "35.69670256576945",
+            "--d", "3", "--target", "6.9801525264153375", "--ell"]
+    for ell in (200, 250, 400):
+        assert cli.main([*argv, str(ell)]) == 0
+        assert json.loads(capsys.readouterr().out)["within_bound"] is True
+    rp = RecursionParams(SpinParams(0.8, 1.5, 35.69670256576945), 3)
+    report = certify(400, 6.9801525264153375, rp)
+    C = decay_constants(rp, solve_mu_star(rp))
+    ln_hmu = math.log(edge_ratio(rp.params.mu, rp.params))
+    deep = 0
+    for rec in report.trace:
+        for branch in rec.branches:
+            if branch.y == 0.0 and C.alpha ** rec.ell / rp.d == 0.0:
+                deep += 1
+                ln_field = math.log(rp.params.mu) + branch.gadget.w * ln_hmu
+                assert ln_field <= rec.ell * math.log(C.alpha) - math.log(rp.d)
+    assert deep > 0
+
+
 def test_log_error_envelope_decays_geometrically():
     # per-depth error ratios fluctuate (a depth can get lucky), so the decay
     # claim is pinned as a geometric-mean rate at most alpha plus margin
     for frac in (0.25, 0.5, 0.75):
-        errs = [abs(certify(ell, C.mu_star * frac, RP, C).log_error)
+        errs = [abs(certify(ell, C.mu_star * frac, RP).log_error)
                 for ell in range(9)]
-        assert all(e <= certify(0, C.mu_star * frac, RP, C).bound for e in errs[:1])
+        assert all(e <= certify(0, C.mu_star * frac, RP).bound for e in errs[:1])
         rate = (errs[8] / errs[1]) ** (1 / 7)
         assert rate <= C.alpha + 0.05
 
@@ -232,7 +255,7 @@ def test_size_growth_at_most_exponential():
     # max structural size per depth; ratios bounded, log-size close to linear
     max_size = []
     for ell in range(9):
-        max_size.append(max(certify(ell, C_D2.mu_star * j / 20, RP_D2, C_D2).size
+        max_size.append(max(certify(ell, C_D2.mu_star * j / 20, RP_D2).size
                             for j in range(1, 21)))
     for ell in range(2, 9):
         assert max_size[ell] / max_size[ell - 1] <= 20.0
@@ -248,7 +271,7 @@ def test_size_growth_at_most_exponential():
 
 
 def test_report_fields_are_consistent():
-    rep = certify(3, 12.0, RP, C)
+    rep = certify(3, 12.0, RP)
     assert rep.depth == 3
     assert rep.target == 12.0
     assert rep.achieved == pytest.approx(gadget_field(rep.gadget, RP.params), rel=1e-15)

@@ -20,7 +20,7 @@ import pytest
 from twospin import (CapacityError, ConstructReport, DomainError, InvariantViolation,
                      NumericError, RecursionParams, SpinParams, certify, cli, construct,
                      construction_field_bound, decay_constants, edge_ratio, gadget_field,
-                     gadgets, invert_edge_ratio, tree_size)
+                     gadgets, invert_edge_ratio, solve_mu_star, tree_size)
 from twospin.construct import (_REL_SLACK, BranchChoice, LevelRecord, Schedule,
                                _branch_star_w, _branch_tree_t, _cutoff_delta,
                                _cutoff_star_w, _power_bracket, _prepare, _residual_window,
@@ -95,8 +95,13 @@ def _reference_construct(ell, target, rp, C):
     return Comb(tuple(singletons + [b.gadget for b in branches] + [tail])), [rec] + below
 
 
+def _constants(rp):
+    return decay_constants(rp, solve_mu_star(rp))
+
+
 def _reference_certify(ell, target, rp, C=None):
-    target, C = _prepare(ell, target, rp, C)
+    target, schedule = _prepare(ell, target, rp, None if C is None else Schedule(rp, C))
+    C = schedule.C
     tree, trace = _reference_construct(ell, target, rp, C)
     achieved = gadget_field(tree, rp.params)  # a fresh level table
     return ConstructReport(gadget=tree, target=target, achieved=achieved,
@@ -124,7 +129,7 @@ SHARES = (0.13, 0.52, 0.91, 1.0)  # one per benchmark target bin, then mu_star
 @pytest.mark.parametrize("beta, gamma, mu, d", POINTS)
 def test_shared_schedule_equals_the_recursive_construction(beta, gamma, mu, d):
     rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-    C = decay_constants(rp)
+    C = _constants(rp)
     shared = Schedule(rp, C)
     ells = [*range(13), *((40, 100) if d == 1 else ())]
     built = 0
@@ -133,7 +138,7 @@ def test_shared_schedule_equals_the_recursive_construction(beta, gamma, mu, d):
             target = C.mu_star * share
             want = _outcome(_reference_certify, ell, target, rp, C)
             assert _outcome(certify, ell, target, rp, shared) == want, (ell, share)
-            assert _outcome(certify, ell, target, rp, C) == want, (ell, share)
+            assert _outcome(certify, ell, target, rp) == want, (ell, share)
             built += isinstance(want, ConstructReport)
     assert built >= len(ells) * len(SHARES) - 2
 
@@ -153,7 +158,7 @@ def test_every_sweep_row_equals_a_fresh_certify(monkeypatch):
     assert len(rows) == 7 * 20
     assert len({id(schedule) for *_, schedule, _ in rows}) == 1
     for ell, target, rp, _, report in rows:
-        assert report == certify(ell, target, rp, decay_constants(rp))
+        assert report == certify(ell, target, rp)
         assert report == _reference_certify(ell, target, rp)
 
 
@@ -170,13 +175,13 @@ def test_refused_inputs_keep_their_error_and_message(beta, gamma, mu, d, ell, ta
     want = _outcome(_reference_certify, ell, target, rp)
     assert want[0] is error
     assert _outcome(certify, ell, target, rp) == want
-    assert _outcome(certify, ell, target, rp, Schedule(rp, decay_constants(rp))) == want
+    assert _outcome(certify, ell, target, rp, Schedule(rp, _constants(rp))) == want
 
 
 def test_a_schedule_for_other_parameters_is_refused():
     rp = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
     other = RecursionParams(SpinParams(1.0, 2.0, 21.0), 1)
-    schedule = Schedule(other, decay_constants(other))
+    schedule = Schedule(other, _constants(other))
     with pytest.raises(DomainError, match="schedule was built for other parameters"):
         certify(2, 10.0, rp, schedule)
 
@@ -239,11 +244,11 @@ def test_size_is_the_gadget_size_and_the_field_is_evaluated_once(monkeypatch):
     # acceptance criterion 4's grid, certified per row and as one sweep would
     for beta, gamma, mu, d in [(1.0, 2.0, 20.0, 1), (0.8, 2.0, 40.0, 2), (0.9, 3.0, 30.0, 1)]:
         rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-        C = decay_constants(rp)
+        C = _constants(rp)
         shared = Schedule(rp, C)
         for ell in range(9):
             for j in range(1, 101):
-                for schedule in (C, shared):
+                for schedule in (None, shared):
                     report = certify(ell, C.mu_star * j / 100, rp, schedule)
                     assert len(evaluated) == 1 and evaluated[0] is report.gadget
                     assert report.size == tree_size(report.gadget), (beta, ell, j)

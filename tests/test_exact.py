@@ -220,11 +220,28 @@ def test_quad_division_inverts_the_product(xy):
 
 
 @_FIELD
-@given(_quads(2))
-def test_quad_order_agrees_with_80_digit_reals(xy):
+@given(_quads(2), st.floats(), st.integers(-2, 2))
+def test_quad_order_agrees_with_80_digit_reals(xy, f, ulps):
     x, y = xy
     with mpmath.workdps(80):
         mx, my = _mp(x), _mp(y)
         assert (x < y) == (mx < my) and (x > y) == (mx > my)
         assert (x <= y) == (mx <= my) and (x == y) == (mx == my)
         assert (x < 0) == (mx < 0) and (x == 0) == (mx == 0)
+        # a float compares as the exact rational it is, as with a Fraction:
+        # any float (nan and +-inf too), and floats within two ulps of float(x)
+        near = float(x)
+        for _ in range(abs(ulps)):
+            near = math.nextafter(near, math.copysign(math.inf, ulps))
+        for g in (f, near):
+            compared = (x < g, x <= g, x > g, x >= g, x == g)
+            if math.isnan(g):
+                assert compared == (False,) * 5 and x != g
+                continue
+            mg = mpmath.mpf(g)  # exact: 80 digits hold any float
+            assert compared == (mx < mg, mx <= mg, mx > mg, mx >= mg, mx == mg)
+            assert (g < x, g > x, g == x) == (mg < mx, mg > mx, mg == mx)
+            if x == g:
+                assert hash(x) == hash(g)
+            if x.b == 0:  # a rational Quad compares as its Fraction does
+                assert compared == (x.a < g, x.a <= g, x.a > g, x.a >= g, x.a == g)

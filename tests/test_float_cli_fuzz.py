@@ -12,7 +12,8 @@ written with 12 significant digits.
 ``reduce --kind bipartite|contract|ising|pipeline`` with and without
 ``--no-verify``, take their numbers from the same values.  ``construct`` and
 ``sweep --kind construct-error`` also draw values inside the construction's
-domain, where most calls succeed.  ``selfloop`` is left out: its achieved
+domain, where most calls succeed, a construct one time in four at a depth
+up to the limit.  ``selfloop`` is left out: its achieved
 field can still overflow as an OverflowError.
 
 Every call runs in-process through ``twospin.cli.main``.  It exits 0, 2
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from twospin import (DomainError, NumericError, RecursionParams, SpinParams,
                      construction_field_bound, solve_mu_star)
 from twospin.cli import main
+from twospin.gadgets import DEPTH_LIMIT
 
 FUZZ = settings(max_examples=120, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -183,6 +185,12 @@ def command_argvs(draw) -> list:
 # target / mu underflows to 0
 @example(argv=["construct", "--beta", "0.5", "--gamma", "1e10", "--mu", "1e100", "--d", "1",
                "--ell", "0", "--target", "1e-300"])
+# mu + gamma overflows: the level map's first step would be 0.0
+@example(argv=["fixpoint", "--beta", "0.2207132808549458", "--gamma", "1e308",
+               "--mu", "1e308", "--d", "1"])
+@example(argv=["sweep", "--kind", "construct-error", "--beta", "0.2207132808549458",
+               "--gamma", "1e308", "--mu", "1e308", "--d", "1", "--ell-max", "0",
+               "--targets", "2"])
 def test_fuzzed_float_commands_exit_with_a_documented_code(argv):
     code, out = _check_run(argv)
     if code in (0, 4):
@@ -196,10 +204,20 @@ def construct_argvs(draw) -> list:
     and otherwise in (0.3, 1), gamma is 10**U(0.2, 3), mu the construction's
     field bound times 10**U(0, 12) and the target mu_star times 10**U(-8, 0).
     A sweep has 0 to 3 as --ell-max and 1 to 4 --targets, which share one
-    construction schedule."""
-    beta = 1.0 if draw(st.booleans()) else draw(st.floats(0.3, 1))
-    gamma = 10 ** draw(st.floats(0.2, 3))
-    d = draw(st.integers(1, 5))
+    construction schedule.  A construct has 0 to 4 as --ell, or one time in
+    four a depth up to DEPTH_LIMIT, with d at most 3 and beta*gamma in
+    (1.01, 1.5), where the branch star's cap alpha**ell / d underflows a
+    float before that depth."""
+    deep = draw(st.integers(0, 3)) == 0
+    if deep:  # beta*gamma near 1, so that alpha**ell leaves the float range by DEPTH_LIMIT
+        d = draw(st.integers(1, 3))
+        bg = 1 + 10 ** draw(st.floats(-2, -0.3))
+        beta = bg ** -(d * draw(st.floats(0, 0.9)))  # beta * bg**d > 1
+        gamma = bg / beta
+    else:
+        beta = 1.0 if draw(st.booleans()) else draw(st.floats(0.3, 1))
+        gamma = 10 ** draw(st.floats(0.2, 3))
+        d = draw(st.integers(1, 5))
     try:
         bound = construction_field_bound(SpinParams(beta, gamma, 1), d)
     except DomainError:  # beta*gamma <= 1, which the command refuses too
@@ -210,16 +228,20 @@ def construct_argvs(draw) -> list:
     except (DomainError, NumericError):
         mu_star = mu
     bgmd = ["--beta", repr(beta), "--gamma", repr(gamma), "--mu", repr(mu), "--d", str(d)]
-    if draw(st.booleans()):
+    if not deep and draw(st.booleans()):
         return ["sweep", "--kind", "construct-error", *bgmd,
                 "--ell-max", str(draw(st.integers(0, 3))),
                 "--targets", str(draw(st.integers(1, 4)))]
     target = mu_star * 10 ** draw(st.floats(-8, 0))
-    return ["construct", *bgmd, "--ell", str(draw(st.integers(0, 4))), "--target", repr(target)]
+    ell = draw(st.integers(5, DEPTH_LIMIT) if deep else st.integers(0, 4))
+    return ["construct", *bgmd, "--ell", str(ell), "--target", repr(target)]
 
 
 @FUZZ
 @given(argv=construct_argvs())
+# the branch star's cap alpha**ell / d underflows to 0.0 from about ell = 250
+@example(argv=["construct", "--beta", "0.8", "--gamma", "1.5", "--mu", "35.69670256576945",
+               "--d", "3", "--ell", "250", "--target", "6.9801525264153375"])
 def test_fuzzed_construct_in_its_domain_exits_with_a_documented_code(argv):
     code, out = _check_run(argv)
     if code in (0, 4):

@@ -171,7 +171,7 @@ def test_star_convergence_refuses_a_subnormal_field():
 
 def test_tree_convergence_bounds():
     rp = RecursionParams(SpinParams(1.0, 2.0, 20.0), 1)
-    C = decay_constants(rp)
+    C = decay_constants(rp, solve_mu_star(rp))
     rows = tree_convergence(rp, 20, C)
     fields = [f for _, f, _ in rows]
     assert fields[0] == 20.0
@@ -267,10 +267,10 @@ def _plain_json(node):
 @pytest.mark.parametrize("beta, gamma, mu, d", CONSTRUCT_GRID)
 def test_walkers_equal_the_plain_recursion_on_the_construct_grid(beta, gamma, mu, d):
     rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-    C = decay_constants(rp)
+    C = decay_constants(rp, solve_mu_star(rp))
     for ell in range(13):
         for share in (0.1, 0.5, 0.9):
-            tree = certify(ell, C.mu_star * share, rp, C).gadget
+            tree = certify(ell, C.mu_star * share, rp).gadget
             assert gadget_field(tree, rp.params) == _plain_field(tree, rp.params)
             assert tree_size(tree) == _plain_size(tree)
             assert gadget_to_json(tree) == _plain_json(tree)

@@ -54,7 +54,7 @@ def test_fixed_point_closed_form_and_iterates():
     mu_star = solve_mu_star(RP)
     assert mu_star == pytest.approx(MU_STAR_CLOSED, rel=1e-12)
     assert level_map(mu_star, RP) == pytest.approx(mu_star, rel=1e-12)
-    iterates = fixed_point_iterates(RP)
+    iterates = fixed_point_iterates(RP, 1e-12)
     assert iterates[0] == 20.0
     assert iterates[1] == pytest.approx(210 / 11, rel=1e-14)
     assert iterates[2] == pytest.approx(19.051724137931036, rel=1e-13)
@@ -148,7 +148,7 @@ def test_decay_constants_invariants():
     for rp in (RP,
                RecursionParams(SpinParams(0.8, 2.0, 40.0), 2),
                RecursionParams(SpinParams(0.9, 3.0, 30.0), 1)):
-        C = decay_constants(rp)
+        C = decay_constants(rp, solve_mu_star(rp))
         assert isinstance(C, DecayConstants)
         assert 0 < C.alpha < 1
         assert 0 < C.c < 1
@@ -185,7 +185,7 @@ def test_decay_window_is_the_widest_certified_halving():
         mu = construction_field_bound(SpinParams(beta, gamma, 1.0), d) * math.exp(
             rng.uniform(-3.5, 1.0 if i % 2 else -2.0))
         rp = RecursionParams(SpinParams(beta, gamma, mu), d)
-        C = decay_constants(rp)
+        C = decay_constants(rp, solve_mu_star(rp))
 
         def window_max(eta):
             return contraction_rate(
@@ -203,24 +203,41 @@ def test_decay_window_is_the_widest_certified_halving():
     assert halved >= 10
 
 
-def test_decay_constants_iterate_once(monkeypatch):
+def test_decay_constants_iterate_once(monkeypatch, capsys):
+    # `fixpoint` solves once; decay_constants never runs the solver's
+    # iteration, only the t0 level-map steps into the contraction window
     import twospin.recursion as recursion
-    calls = []
-    iterate = recursion.fixed_point_iterates
+    calls, steps = [], []
+    iterate, step = recursion.fixed_point_iterates, recursion.level_map
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return iterate(*args, **kwargs)
+        return iterate(*args)
+
+    def counted_step(x, rp):
+        steps.append(x)
+        return step(x, rp)
 
     monkeypatch.setattr(recursion, "fixed_point_iterates", counted)
+    assert main(["fixpoint", "--beta", "0.8", "--gamma", "2", "--mu", "40", "--d", "2"]) == 0
     rp = RecursionParams(SpinParams(0.8, 2.0, 40.0), 2)
-    C = decay_constants(rp)
-    assert len(calls) == 1
-    assert C.mu_star == solve_mu_star(rp)  # the same iterate, bit for bit
+    assert calls == [(rp, 1e-12)]
+    assert json.loads(capsys.readouterr().out)["mu_star"] == pytest.approx(
+        solve_mu_star(rp), rel=1e-11)
+
+    # at (1, 1e10, 1e10, d = 1) the window is entered only after 80,471 steps
+    rp = RecursionParams(SpinParams(1.0, 1e10, 1e10), 1)
+    iterates = fixed_point_iterates(rp, 1e-12)
+    mu_star = iterates[-1]  # what solve_mu_star returns
+    calls.clear()
+    monkeypatch.setattr(recursion, "level_map", counted_step)
+    C = decay_constants(rp, mu_star)
+    assert calls == [] and C.t0 == len(steps) == 80471
+    assert steps == iterates[:C.t0]  # the solver's first iterates, bit for bit
 
 
 def test_iota_at_least_log_mu():
-    C = decay_constants(RP)
+    C = decay_constants(RP, solve_mu_star(RP))
     assert C.iota >= math.log(20.0)  # ~2.9957
 
 
@@ -334,6 +351,32 @@ def test_hardness_thresholds_worked_values():
     assert th23.mu_bound_uniform_large_beta == pytest.approx(2.0, rel=1e-12)
 
 
+def test_delta_is_exact_next_to_every_integer_boundary():
+    # floor((s+1)/(s-1)) = f for s = sqrt(P) exactly when
+    # ((f+2)/f)**2 < P <= ((f+1)/(f-1))**2 (only the first bound for f = 1), P the
+    # exact product of the floats: probes one to three ulps either side of each
+    # boundary ((k+1)/(k-1))**2, k = 2..199
+    checked = 0
+    for beta in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5):
+        for k in range(2, 200):
+            gamma = ((k + 1) / (k - 1)) ** 2 / beta
+            for _ in range(3):
+                gamma = math.nextafter(gamma, 0)
+            for _ in range(7):
+                gamma = math.nextafter(gamma, math.inf)
+                f = hardness_thresholds(SpinParams(beta, gamma, 1.0)).Delta - 1
+                P = Fraction(beta) * Fraction(gamma)
+                assert Fraction(f + 2, f) ** 2 < P, (beta, gamma)
+                assert f == 1 or P <= Fraction(f + 1, f - 1) ** 2, (beta, gamma)
+                checked += 1
+    assert checked == 6 * 198 * 7
+    # where sqrt(beta*gamma) rounds to 1, and where beta*gamma overflows
+    assert hardness_thresholds(SpinParams(1.0, 1.0000000000000002, 1.0)).Delta == 2 ** 54 + 2
+    assert hardness_thresholds(SpinParams(2.206216874300683e+77, 1e308, 1.0)).Delta == 2
+    with pytest.raises(NumericError, match="^Delta overflows a float$"):
+        hardness_thresholds(SpinParams(1.0, math.inf, 1.0))  # not a ratio of integers
+
+
 def test_hardness_thresholds_preconditions():
     with pytest.raises(DomainError):
         hardness_thresholds(SpinParams(2.0, 2.0, 1.0))  # beta == gamma
@@ -373,7 +416,6 @@ def test_least_integer_steps_from_any_guess():
 @pytest.mark.parametrize("beta, gamma, d, quantity", [
     (0.5, 2.0001, None, "mu_bound_local_fields"),
     (1e-300, 1.0001e300, None, "mu_bound_local_fields"),  # min_arity is about 6.9e6
-    (1.0, 1.0000000000000002, None, "Delta"),  # sqrt(beta*gamma) rounds to 1
     (1.0, 2.0, 2000, "mu_bound_uniform"),
 ])
 def test_hardness_thresholds_overflow_is_a_numeric_error(beta, gamma, d, quantity):
